@@ -827,8 +827,9 @@ fn main() {
     // A 1,000-machine generated corpus goes through the full registry
     // subsystem: in-memory insert, differential check of every indexed
     // query against its linear-scan twin, sharded disk round trip, the
-    // >= 10x indexed-speedup gate on `machines_sharing`, and sustained
-    // queries/sec over `Arc` snapshots with one and four reader threads.
+    // >= 10x indexed-speedup gates on `machines_sharing` and `nearest`,
+    // and sustained queries/sec over `Arc` snapshots with one and four
+    // reader threads.
     let registry_corpus: u64 = 1_000;
     let registry_seed: u64 = 0xC0FFEE;
     let registry_shards: u32 = 8;
@@ -868,13 +869,19 @@ fn main() {
             std::process::exit(1);
         }
     }
-    for entry in registry_mem.entries().step_by(101) {
-        let partial: Vec<XorFunc> = entry.mapping.bank_funcs().iter().copied().take(2).collect();
-        if registry_mem.nearest(&partial, 3).0 != registry_mem.nearest_scan(&partial, 3) {
+    let registry_partials: Vec<(u64, Vec<XorFunc>)> = registry_mem
+        .entries()
+        .step_by(101)
+        .map(|entry| {
+            let partial = entry.mapping.bank_funcs().iter().copied().take(2).collect();
+            (entry.fingerprint, partial)
+        })
+        .collect();
+    for (fingerprint, partial) in &registry_partials {
+        if registry_mem.nearest(partial, 3).0 != registry_mem.nearest_scan(partial, 3) {
             eprintln!(
-                "registry differential gate failed: indexed nearest for a partial of {:016x} \
-                 disagrees with the linear-scan twin",
-                entry.fingerprint
+                "registry differential gate failed: indexed nearest for a partial of \
+                 {fingerprint:016x} disagrees with the linear-scan twin"
             );
             std::process::exit(1);
         }
@@ -941,6 +948,30 @@ fn main() {
         );
         std::process::exit(1);
     }
+    // The same gate on `nearest`: lead-column residual scoring over the
+    // postings union against the per-entry RREF scan twin.
+    let nearest_query_count = registry_partials.len() as f64;
+    let nearest_scan_ns = time_per_call(|| {
+        registry_partials
+            .iter()
+            .map(|(_, p)| registry_mem.nearest_scan(p, 3).len())
+            .sum::<usize>()
+    }) / nearest_query_count;
+    let nearest_indexed_ns = time_per_call(|| {
+        registry_partials
+            .iter()
+            .map(|(_, p)| registry_mem.nearest(p, 3).0.len())
+            .sum::<usize>()
+    }) / nearest_query_count;
+    let nearest_speedup = nearest_scan_ns / nearest_indexed_ns;
+    if nearest_speedup < 10.0 {
+        eprintln!(
+            "registry speedup gate failed: indexed nearest is only {nearest_speedup:.1}x \
+             faster than the scan at {registry_entries} entries ({nearest_indexed_ns:.0} ns \
+             vs {nearest_scan_ns:.0} ns per query, gate 10x)"
+        );
+        std::process::exit(1);
+    }
 
     // Sustained queries/sec over Arc snapshots. Each reader clones the
     // snapshot once and then queries lock-free; the gate only requires
@@ -1003,7 +1034,7 @@ fn main() {
     let registry_line = format!(
         "{registry_key} | {registry_determ} || speedup={registry_speedup:.1}x \
          single_qps={registry_single_qps:.0} multi_qps={registry_multi_qps:.0} \
-         threads={registry_threads}"
+         threads={registry_threads} nearest_speedup={nearest_speedup:.1}x"
     );
     let registry_history = std::fs::read_to_string("REGISTRY_HISTORY.txt").unwrap_or_default();
     for prior in registry_history.lines() {
@@ -1265,6 +1296,16 @@ fn main() {
     );
     let _ = writeln!(out, "    \"indexed_speedup\": {registry_speedup:.2},");
     let _ = writeln!(out, "    \"speedup_gate\": 10.0,");
+    let _ = writeln!(out, "    \"nearest_queries\": {},", registry_partials.len());
+    let _ = writeln!(
+        out,
+        "    \"nearest_scan_ns_per_query\": {nearest_scan_ns:.1},"
+    );
+    let _ = writeln!(
+        out,
+        "    \"nearest_indexed_ns_per_query\": {nearest_indexed_ns:.1},"
+    );
+    let _ = writeln!(out, "    \"nearest_speedup\": {nearest_speedup:.2},");
     let _ = writeln!(out, "    \"single_thread_qps\": {registry_single_qps:.0},");
     let _ = writeln!(out, "    \"multi_thread_qps\": {registry_multi_qps:.0},");
     let _ = writeln!(out, "    \"threads\": {registry_threads},");

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use dramdig::RecoveryReport;
@@ -279,20 +279,37 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if necessary) a journal for appending.
+    /// Opens (creating if necessary) a journal for appending. A torn final
+    /// line (a writer killed mid-append) is cut off first, so the next
+    /// record starts on a line of its own instead of fusing with the
+    /// fragment into a malformed line mid-file.
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::Io`] when the file cannot be opened.
+    /// Returns [`JournalError::Io`] when the file cannot be opened, read or
+    /// truncated.
     pub fn open_append(path: &Path) -> Result<Self, JournalError> {
+        let io = |error| JournalError::Io {
+            path: path.to_path_buf(),
+            error,
+        };
         let file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)
-            .map_err(|error| JournalError::Io {
-                path: path.to_path_buf(),
-                error,
-            })?;
+            .map_err(io)?;
+        let mut last = [b'\n'];
+        if file.metadata().map_err(io)?.len() > 0 {
+            (&file)
+                .seek(SeekFrom::End(-1))
+                .and_then(|_| (&file).read_exact(&mut last))
+                .map_err(io)?;
+        }
+        if last[0] != b'\n' {
+            let bytes = std::fs::read(path).map_err(io)?;
+            file.set_len(whole_lines(&bytes).len() as u64).map_err(io)?;
+        }
         Ok(Journal {
             path: path.to_path_buf(),
             writer: BufWriter::new(file),
@@ -317,27 +334,57 @@ impl Journal {
     }
 }
 
+/// Metrics counter: torn final journal lines a resume dropped.
+pub(crate) const JOURNAL_TORN_LINES: &str = "journal_torn_lines_total";
+
+/// The prefix of `bytes` up to and including its last newline. Every
+/// append ends its record with `\n`, so anything after that is the torn
+/// remainder of a record whose writer died mid-write.
+fn whole_lines(bytes: &[u8]) -> &[u8] {
+    let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    &bytes[..end]
+}
+
 /// Reads and decodes every record of a journal file. A missing file is an
-/// empty journal (the campaign simply has not started yet).
+/// empty journal (the campaign simply has not started yet). A torn
+/// (unterminated) final line is dropped; a malformed line before it is
+/// refused.
 ///
 /// # Errors
 ///
 /// Returns [`JournalError`] on IO failures or malformed lines.
 pub fn read_journal(path: &Path) -> Result<Vec<JournalRecord>, JournalError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(error) => {
-            return Err(JournalError::Io {
-                path: path.to_path_buf(),
-                error,
-            })
-        }
+    Ok(read_journal_counted(path)?.0)
+}
+
+/// [`read_journal`] plus the number of torn final lines it dropped (0 or
+/// 1). Only an unterminated *final* line is tolerated — the one place a
+/// killed writer can leave a partial record; a malformed line anywhere
+/// before it is still refused.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] on IO failures or malformed lines.
+pub(crate) fn read_journal_counted(path: &Path) -> Result<(Vec<JournalRecord>, u64), JournalError> {
+    let io = |error| JournalError::Io {
+        path: path.to_path_buf(),
+        error,
     };
-    text.lines()
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(error) => return Err(io(error)),
+    };
+    let whole = whole_lines(&bytes);
+    let torn = u64::from(!bytes[whole.len()..].trim_ascii().is_empty());
+    let text = std::str::from_utf8(whole)
+        .map_err(|e| io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
+    let records = text
+        .lines()
         .filter(|l| !l.trim().is_empty())
         .map(JournalRecord::decode_line)
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((records, torn))
 }
 
 /// The resume frontier: everything the journal knows about job progress.
@@ -582,6 +629,41 @@ mod tests {
         assert_eq!(read_journal(&path).unwrap().len(), 3);
         // A missing journal is empty, not an error.
         assert_eq!(read_journal(&dir.join("nope.jsonl")).unwrap(), vec![]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_final_line_is_dropped_but_mid_file_garbage_is_refused() {
+        let dir = std::env::temp_dir().join(format!("dramdig-journal-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let started = JournalRecord::Started {
+            job: "m4-s1-fast".into(),
+            attempt: 1,
+        };
+        let line = started.encode_line();
+        let torn = format!("{line}\n{}", &line[..line.len() / 2]);
+        std::fs::write(&path, &torn).unwrap();
+        assert_eq!(
+            read_journal_counted(&path).unwrap(),
+            (vec![started.clone()], 1)
+        );
+        // Re-opening for append cuts the fragment, so the next record lands
+        // on a line of its own.
+        Journal::open_append(&path)
+            .unwrap()
+            .append(&started)
+            .unwrap();
+        assert_eq!(
+            read_journal_counted(&path).unwrap(),
+            (vec![started.clone(), started.clone()], 0)
+        );
+        // The same fragment followed by a newline is mid-file corruption.
+        std::fs::write(&path, format!("{torn}\n{line}\n")).unwrap();
+        assert!(matches!(
+            read_journal(&path),
+            Err(JournalError::Malformed { .. })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

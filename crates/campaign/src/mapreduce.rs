@@ -39,7 +39,9 @@ use dramdig::engine::{EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, RecoveryReport};
 use mem_probe::SimProbe;
 
-use crate::journal::{read_journal, Journal, JournalRecord, JournalState};
+use crate::journal::{
+    read_journal, read_journal_counted, Journal, JournalRecord, JournalState, JOURNAL_TORN_LINES,
+};
 use crate::pool::{self, Attempt, Lease, PoolHooks};
 use crate::runner::{CampaignError, CampaignPaths, CampaignStatus};
 use crate::spec::Profile;
@@ -639,7 +641,8 @@ pub fn run_mapreduce(
     let io_err = |path: PathBuf| move |error| CampaignError::Io { path, error };
     std::fs::create_dir_all(paths.checkpoints()).map_err(io_err(paths.checkpoints()))?;
 
-    let prior = JournalState::replay(&read_merged_journal(paths)?);
+    let (records, torn) = read_merged_journal_counted(paths)?;
+    let prior = JournalState::replay(&records);
     let queue: Vec<Lease<GenJob>> = spec
         .jobs()
         .into_iter()
@@ -729,6 +732,7 @@ pub fn run_mapreduce(
 
     let drained = match metrics {
         Some(registry) => {
+            registry.counter_add(JOURNAL_TORN_LINES, torn);
             let depth = queue.len();
             let mut metered = pool::MeteredHooks::new(MapHooks, registry, depth);
             pool::drain_pool_ctx(queue, &pool_config, &mut metered, contexts, run)?
@@ -847,11 +851,21 @@ fn worker_journal_paths(paths: &CampaignPaths) -> Result<Vec<PathBuf>, CampaignE
 /// coordinator). Top-level records are chronologically oldest, so DLQ
 /// requeue records always fold after the dead letters they revive.
 pub fn read_merged_journal(paths: &CampaignPaths) -> Result<Vec<JournalRecord>, CampaignError> {
-    let mut records = read_journal(&paths.journal())?;
+    Ok(read_merged_journal_counted(paths)?.0)
+}
+
+/// [`read_merged_journal`] plus the torn final lines dropped across all the
+/// journal files.
+fn read_merged_journal_counted(
+    paths: &CampaignPaths,
+) -> Result<(Vec<JournalRecord>, u64), CampaignError> {
+    let (mut records, mut torn) = read_journal_counted(&paths.journal())?;
     for path in worker_journal_paths(paths)? {
-        records.extend(read_journal(&path)?);
+        let (shard, shard_torn) = read_journal_counted(&path)?;
+        records.extend(shard);
+        torn += shard_torn;
     }
-    Ok(records)
+    Ok((records, torn))
 }
 
 /// Folds every worker journal shard into the top-level `journal.jsonl` and
@@ -1224,6 +1238,66 @@ mod tests {
         let again = run_mapreduce(&spec, &paths, boxed(vec![SimTransport::new()]), None).unwrap();
         assert_eq!(again.state.dead.len(), 1);
         assert_eq!(again.state.dead_attempts["g0007-s1-fast"], 2);
+        std::fs::remove_dir_all(paths.dir()).unwrap();
+    }
+
+    #[test]
+    fn torn_journal_tail_resumes_to_the_same_scoreboard_at_every_offset() {
+        let spec = GridSpec {
+            scenarios: 2,
+            seed: 1,
+            profile: Profile::Fast,
+            max_retries: 0,
+        };
+        let paths = temp_paths("torn");
+        run_mapreduce(&spec, &paths, boxed(vec![SimTransport::new()]), None).unwrap();
+        let board_path = paths.dir().join("SCOREBOARD.txt");
+        let board = std::fs::read_to_string(&board_path).unwrap();
+        let journal = std::fs::read(paths.journal()).unwrap();
+        let last_start = journal[..journal.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let last = std::str::from_utf8(&journal[last_start..journal.len() - 1]).unwrap();
+        let Ok(JournalRecord::Completed { job, attempt, .. }) = JournalRecord::decode_line(last)
+        else {
+            panic!("the final record is a completion: {last}");
+        };
+        // A coordinator killed while appending that completion dies before
+        // the checkpoint removal that follows it, so the job's phase
+        // checkpoints are still on disk when the grid resumes.
+        let gen_job = spec.jobs().into_iter().find(|j| j.id() == job).unwrap();
+        let stash = paths.dir().join("stash");
+        run_gen_job(&gen_job, attempt, Some(&stash)).unwrap();
+        let checkpoint = paths.checkpoints().join(&job);
+        for cut in last_start..journal.len() {
+            std::fs::write(paths.journal(), &journal[..cut]).unwrap();
+            std::fs::create_dir_all(&checkpoint).unwrap();
+            for file in std::fs::read_dir(&stash).unwrap() {
+                let file = file.unwrap().path();
+                std::fs::copy(&file, checkpoint.join(file.file_name().unwrap())).unwrap();
+            }
+            let mut metrics = telemetry::Registry::new();
+            run_mapreduce(
+                &spec,
+                &paths,
+                boxed(vec![SimTransport::new()]),
+                Some(&mut metrics),
+            )
+            .unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&board_path).unwrap(),
+                board,
+                "cut at byte {cut}"
+            );
+            // Only a partial line counts as torn; the resumed journal is
+            // whole lines again.
+            assert_eq!(
+                metrics.counter(JOURNAL_TORN_LINES),
+                u64::from(cut > last_start)
+            );
+            assert_eq!(read_journal_counted(&paths.journal()).unwrap().1, 0);
+        }
         std::fs::remove_dir_all(paths.dir()).unwrap();
     }
 

@@ -20,7 +20,10 @@ use dramdig::engine::{EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, RecoveryReport};
 use mem_probe::SimProbe;
 
-use crate::journal::{read_journal, Journal, JournalError, JournalRecord, JournalState};
+use crate::journal::{
+    read_journal, read_journal_counted, Journal, JournalError, JournalRecord, JournalState,
+    JOURNAL_TORN_LINES,
+};
 use crate::pool::{self, PoolHooks, Verdict};
 use crate::spec::{Ablation, CampaignSpec, JobSpec};
 use crate::store::{MappingStore, Provenance};
@@ -452,7 +455,8 @@ where
         path: paths.dir().to_path_buf(),
         error,
     })?;
-    let prior = JournalState::replay(&read_journal(&paths.journal())?);
+    let (records, torn) = read_journal_counted(&paths.journal())?;
+    let prior = JournalState::replay(&records);
     let queue: Vec<(QueuedJob, u32)> = prior
         .pending(spec)
         .into_iter()
@@ -482,6 +486,7 @@ where
         |(job, checkpoint): &QueuedJob, attempt: u32| run_job(job, attempt, checkpoint.as_deref());
     let drained = match metrics {
         Some(registry) => {
+            registry.counter_add(JOURNAL_TORN_LINES, torn);
             let depth = queue.len();
             let mut metered = pool::MeteredHooks::new(hooks, registry, depth);
             pool::drain_pool(queue, &pool_config, &mut metered, worker)?

@@ -186,7 +186,20 @@ impl FlipModel {
     /// exceeded the thresholds.
     pub fn refresh(&mut self, rng: &mut StdRng) {
         let params = self.params;
-        let mut victims: Vec<((u32, u32), Pressure)> = self.pressure.drain().collect();
+        let double_sided = |p: &Pressure| {
+            p.from_below >= params.double_sided_threshold
+                && p.from_above >= params.double_sided_threshold
+        };
+        let single_sided =
+            |p: &Pressure| p.from_below.max(p.from_above) >= params.single_sided_threshold;
+        // Only rows at or above a threshold ever draw from the RNG, so the
+        // (usually far more numerous) rows below both are dropped before
+        // the sort without changing the flip record.
+        let mut victims: Vec<((u32, u32), Pressure)> = self
+            .pressure
+            .drain()
+            .filter(|(_, p)| double_sided(p) || single_sided(p))
+            .collect();
         // The map iterates in a per-instance random order; flips must be
         // sampled in a fixed order so the RNG stream — and therefore the
         // whole flip record — is a deterministic function of the access
@@ -197,12 +210,7 @@ impl FlipModel {
             if vulnerability == 0.0 {
                 continue;
             }
-            let double = p.from_below >= params.double_sided_threshold
-                && p.from_above >= params.double_sided_threshold;
-            let single = p.from_below.max(p.from_above) >= params.single_sided_threshold;
-            if !double && !single {
-                continue;
-            }
+            let double = double_sided(&p);
             let pressure_total = f64::from(p.from_below + p.from_above);
             let threshold = if double {
                 f64::from(params.double_sided_threshold * 2)

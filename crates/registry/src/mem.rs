@@ -399,15 +399,6 @@ impl MemRegistry {
         columns
     }
 
-    /// Exact span check for entry `id`: the XOR of its basis rows whose
-    /// lead bit is set in `mask` must reproduce `mask` (full Gauss-Jordan
-    /// RREF makes this selection the whole reduction).
-    fn xor_select(columns: &[&[u64]], id: usize, mask: u64) -> bool {
-        columns.iter().fold(0u64, |acc, column| {
-            acc ^ column.get(id).copied().unwrap_or(0)
-        }) == mask
-    }
-
     /// [`MemRegistry::machines_sharing`] plus the deterministic work
     /// counters for telemetry.
     pub fn machines_sharing_costed(&self, func: XorFunc) -> (BTreeSet<&str>, QueryCost) {
@@ -415,7 +406,7 @@ impl MemRegistry {
         let mut matched = self.span_candidates(mask);
         let candidates = matched.len() as u64;
         let columns = self.lead_columns(mask);
-        matched.retain(|&id| Self::xor_select(&columns, id as usize, mask));
+        matched.retain(|&id| Self::residual(&columns, id as usize, mask) == 0);
         // Dedup and order the answer on interned machine *ranks* — plain
         // integer ops — and only materialize label strings at the end.
         let mut ranks: Vec<u32> = Vec::new();
@@ -451,7 +442,7 @@ impl MemRegistry {
         let mut matched = self.span_candidates(mask);
         let candidates = matched.len() as u64;
         let columns = self.lead_columns(mask);
-        matched.retain(|&id| Self::xor_select(&columns, id as usize, mask));
+        matched.retain(|&id| Self::residual(&columns, id as usize, mask) == 0);
         // Candidates come out in insertion order; present them in the
         // registry's canonical order like the scan twin does. The rank
         // permutation makes this an integer sort, not a key comparison.
@@ -517,6 +508,15 @@ impl MemRegistry {
                 }
             }
         }
+        // Score by lead-column residuals. For a full Gauss-Jordan RREF
+        // basis `B`, `p ^ XOR(rows of B whose lead bit is set in p)` is a
+        // linear map whose kernel is exactly span(B), so
+        // `dim(span P ∩ span B) = rank(P) − rank(residuals of P)`.
+        // The columns are looked up once here; per candidate the work is
+        // one gather per partial bit plus a stack echelon of at most
+        // `rank(P)` words.
+        let columns: Vec<Vec<&[u64]>> = reduced.iter().map(|&p| self.lead_columns(p)).collect();
+        let mut echelon = [0u64; 64];
         let mut cost = QueryCost::default();
         let mut hits: Vec<NearestHit> = Vec::new();
         for (i, mut block) in union_blocks.into_iter().enumerate() {
@@ -524,36 +524,65 @@ impl MemRegistry {
                 let id = i * 64 + block.trailing_zeros() as usize;
                 block &= block - 1;
                 cost.candidates += 1;
-                let (key, entry) = &self.store[id];
-                let rank = key.basis.len() as u8;
-                let mut union: Vec<u64> = key.basis.clone();
-                union.extend_from_slice(&reduced);
-                let union_rank = gf2::bitslice::reduced_row_basis(&union).len() as u8;
-                let contained = partial_rank + rank - union_rank;
+                let mut residual_rank = 0usize;
+                for (&p, cols) in reduced.iter().zip(&columns) {
+                    let residual = Self::residual(cols, id, p);
+                    residual_rank += Self::echelon_insert(&mut echelon, residual_rank, residual);
+                }
+                let contained = partial_rank - residual_rank as u8;
                 if contained == 0 {
                     continue;
                 }
+                let (key, entry) = &self.store[id];
                 hits.push(NearestHit {
                     fingerprint: entry.fingerprint,
                     contained,
                     partial_rank,
-                    rank,
+                    rank: key.basis.len() as u8,
                 });
             }
         }
-        hits.sort_by(|a, b| {
-            b.contained
-                .cmp(&a.contained)
-                .then(a.rank.cmp(&b.rank))
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
-        hits.truncate(k);
+        // Fingerprints are unique, so the ranking is a total order: select
+        // the top `k` first and sort only those — the same answer as
+        // sorting every hit.
+        if hits.len() > k {
+            hits.select_nth_unstable_by(k - 1, nearest_order);
+            hits.truncate(k);
+        }
+        hits.sort_by(nearest_order);
         cost.matched = hits.len() as u64;
         (hits, cost)
     }
 
+    /// `mask` with entry `id`'s basis rows whose lead bit is set in `mask`
+    /// XORed out. Full Gauss-Jordan RREF makes this selection the whole
+    /// reduction: the result is zero iff `mask` lies in the entry's span,
+    /// and it is linear in `mask`.
+    fn residual(columns: &[&[u64]], id: usize, mask: u64) -> u64 {
+        columns.iter().fold(mask, |acc, column| {
+            acc ^ column.get(id).copied().unwrap_or(0)
+        })
+    }
+
+    /// Reduces `row` against the first `len` rows of `echelon` (distinct
+    /// leading bits, sorted descending) and, when something is left,
+    /// inserts it in order. Returns 1 when the rank grew, else 0.
+    fn echelon_insert(echelon: &mut [u64; 64], len: usize, mut row: u64) -> usize {
+        for &pivot in &echelon[..len] {
+            row = row.min(row ^ pivot);
+        }
+        if row == 0 {
+            return 0;
+        }
+        let at = echelon[..len].partition_point(|&pivot| pivot > row);
+        echelon.copy_within(at..len, at + 1);
+        echelon[at] = row;
+        1
+    }
+
     /// Differential twin of [`MemRegistry::nearest`]: scores every entry by
-    /// linear scan instead of going through the posting lists.
+    /// linear scan, with a full RREF of the union basis per entry instead
+    /// of the posting lists and lead-column residuals.
     pub fn nearest_scan(&self, partial: &[XorFunc], k: usize) -> Vec<NearestHit> {
         let masks: Vec<u64> = partial.iter().map(|f| f.mask()).collect();
         let reduced = gf2::bitslice::reduced_row_basis(&masks);
@@ -578,15 +607,19 @@ impl MemRegistry {
                 rank,
             });
         }
-        hits.sort_by(|a, b| {
-            b.contained
-                .cmp(&a.contained)
-                .then(a.rank.cmp(&b.rank))
-                .then(a.fingerprint.cmp(&b.fingerprint))
-        });
+        hits.sort_by(nearest_order);
         hits.truncate(k);
         hits
     }
+}
+
+/// The `nearest` ranking: more of the partial span contained first, then
+/// the smaller candidate rank (tighter explanation), then fingerprint.
+fn nearest_order(a: &NearestHit, b: &NearestHit) -> std::cmp::Ordering {
+    b.contained
+        .cmp(&a.contained)
+        .then(a.rank.cmp(&b.rank))
+        .then(a.fingerprint.cmp(&b.fingerprint))
 }
 
 #[cfg(test)]

@@ -133,23 +133,21 @@ pub fn respond(
     match request {
         Request::Sharing(func) => {
             metrics.counter_add("registry_requests_sharing", 1);
-            let (entries, cost) = snapshot.mem.entries_sharing_costed(*func);
+            // Machines are deduplicated on interned ranks inside the
+            // registry; the matched-entry count is the cost counter.
+            let (machines, cost) = snapshot.mem.machines_sharing_costed(*func);
             metrics.observe(
                 "registry_query_candidates",
                 CANDIDATE_BOUNDS,
                 cost.candidates,
             );
-            let mut machines = std::collections::BTreeSet::new();
-            for entry in &entries {
-                machines.extend(entry.machines());
-            }
             let _ = writeln!(out, "ok sharing {func}");
             let _ = writeln!(
                 out,
                 "machines = {}",
-                machines.iter().copied().collect::<Vec<_>>().join(", ")
+                machines.into_iter().collect::<Vec<_>>().join(", ")
             );
-            let _ = writeln!(out, "entries = {}", entries.len());
+            let _ = writeln!(out, "entries = {}", cost.matched);
             let _ = writeln!(out, "candidates = {}", cost.candidates);
         }
         Request::Lookup(fingerprint) => {

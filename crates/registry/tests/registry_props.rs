@@ -1,16 +1,20 @@
 //! Property tests of the registry subsystem: the segment codec round-trips
 //! any corpus, query answers are invariant under the shard count (sharding
-//! is a layout choice, never a semantic one), and concurrent readers always
-//! observe internally consistent snapshots while a writer publishes.
+//! is a layout choice, never a semantic one), concurrent readers always
+//! observe internally consistent snapshots while a writer publishes, and
+//! the indexed `nearest` and `sharing` answers equal their scan oracles.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use dram_model::{AddressMapping, MachineSetting, XorFunc};
+use dram_model::{AddressMapping, MachineClass, MachineGen, MachineSetting, XorFunc};
 use registry::segment::{decode_segment, encode_segment};
-use registry::{DiskRegistry, MemRegistry, Record, SharedRegistry, Source};
+use registry::{
+    respond, DiskRegistry, DiskStats, MemRegistry, Record, Request, SharedRegistry, Snapshot,
+    Source,
+};
 
 /// Distinguishes the temp directories of concurrently running proptest
 /// cases (proptest may shrink in-process while other cases' dirs exist).
@@ -68,8 +72,107 @@ fn query_func(bits: &[u8]) -> XorFunc {
     XorFunc::from_bits(&bits)
 }
 
+/// A registry over generated machines: seeds drawn from a small range so
+/// the same machine recurs (duplicates merge sources), every class
+/// including row-remap, and each job recorded under its own source.
+fn generated_registry(jobs: &[(u64, usize)]) -> MemRegistry {
+    let mut mem = MemRegistry::new();
+    for (i, &(seed, class)) in jobs.iter().enumerate() {
+        let machine = MachineGen::new(seed).generate(MachineClass::ALL[class]);
+        mem.insert(
+            machine.mapping(),
+            Source::new(machine.label.clone(), format!("g{i:04}-s{seed}")),
+        );
+    }
+    mem
+}
+
+/// Builds one query function from a draw: either a GF(2) combination of a
+/// stored entry's basis rows (`subset` selects the rows), or — when
+/// `outside` — a function over address bits 40..64 that no generated
+/// mapping's support reaches.
+fn drawn_func(mem: &MemRegistry, pick: usize, subset: u64, outside: bool) -> XorFunc {
+    if outside {
+        return XorFunc::from_mask((1u64 << (40 + pick % 24)) | (subset << 44));
+    }
+    let entry = mem
+        .entries()
+        .nth(pick % mem.len())
+        .expect("non-empty corpus");
+    let rows = entry.mapping.bank_funcs();
+    let mask = rows
+        .iter()
+        .enumerate()
+        .filter(|(j, _)| subset >> j & 1 == 1)
+        .fold(0u64, |acc, (_, f)| acc ^ f.mask());
+    XorFunc::from_mask(if mask == 0 { rows[0].mask() } else { mask })
+}
+
+/// The `sharing` response as the entry-level path renders it: matched
+/// entries in canonical order, machine labels merged per entry.
+fn sharing_via_entries(mem: &MemRegistry, func: XorFunc) -> String {
+    let (entries, cost) = mem.entries_sharing_costed(func);
+    let mut machines = BTreeSet::new();
+    for entry in &entries {
+        machines.extend(entry.machines());
+    }
+    format!(
+        "ok sharing {func}\nmachines = {}\nentries = {}\ncandidates = {}\n.\n",
+        machines.into_iter().collect::<Vec<_>>().join(", "),
+        entries.len(),
+        cost.candidates,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn nearest_matches_the_scan_oracle_on_generated_corpora(
+        jobs in proptest::collection::vec((0u64..12, 0usize..3), 1..24),
+        draws in proptest::collection::vec((0usize..64, 0u64..16, 0u8..4), 1..5),
+        k_pick in 0usize..4,
+    ) {
+        let mem = generated_registry(&jobs);
+        // One draw in four lies outside every support.
+        let partial: Vec<XorFunc> = draws
+            .iter()
+            .map(|&(pick, subset, kind)| drawn_func(&mem, pick, subset, kind == 0))
+            .collect();
+        let k = [0, 1, 3, mem.len() + 5][k_pick];
+        let (hits, cost) = mem.nearest(&partial, k);
+        prop_assert_eq!(&hits, &mem.nearest_scan(&partial, k));
+        prop_assert_eq!(cost.matched, hits.len() as u64);
+        prop_assert!(hits.len() <= k);
+        for hit in &hits {
+            prop_assert!(hit.contained >= 1 && hit.contained <= hit.partial_rank);
+        }
+    }
+
+    #[test]
+    fn sharing_response_bytes_match_the_entry_path(
+        jobs in proptest::collection::vec((0u64..12, 0usize..3), 1..24),
+        draws in proptest::collection::vec((0usize..64, 0u64..16, 0u8..4), 1..8),
+    ) {
+        let snapshot = Snapshot {
+            mem: generated_registry(&jobs),
+            generation: 0,
+        };
+        let stats = DiskStats {
+            shards: 1,
+            segments: 0,
+            records: 0,
+            orphans: Vec::new(),
+        };
+        let mut metrics = telemetry::Registry::new();
+        for &(pick, subset, kind) in &draws {
+            let func = drawn_func(&snapshot.mem, pick, subset, kind == 0);
+            prop_assert_eq!(
+                respond(&snapshot, &stats, &Request::Sharing(func), &mut metrics),
+                sharing_via_entries(&snapshot.mem, func)
+            );
+        }
+    }
 
     #[test]
     fn segments_round_trip_any_corpus(
