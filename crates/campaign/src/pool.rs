@@ -25,12 +25,14 @@
 //! * an [`Attempt::Interrupted`] attempt (the worker died underneath the
 //!   job) re-enters the queue at the **same** attempt — its phase
 //!   checkpoints survive on disk — and the worker that reported it exits,
-//!   so surviving workers steal the lease;
+//!   so surviving workers steal the lease (an idle worker waits for the
+//!   in-flight leases to settle before it leaves, so a lease re-queued
+//!   after the queue ran dry still finds a taker);
 //! * `max_completions` caps completions of *this* drain (used to simulate
 //!   interruptions) — in-flight jobs still settle.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// One schedulable unit: a job plus the attempt number it runs at. The
 /// attempt is a property of the lease — not of whichever worker happens to
@@ -212,6 +214,8 @@ struct Shared<'h, J, T, H: PoolHooks<J, T>> {
     completed: Vec<(J, u32, T)>,
     dead: Vec<(J, String)>,
     failure: Option<H::Error>,
+    /// Leases dequeued and not yet settled.
+    in_flight: usize,
 }
 
 /// Drains `jobs` (each paired with its first attempt number) through `run`
@@ -288,13 +292,16 @@ where
         completed: Vec::new(),
         dead: Vec::new(),
         failure: None,
+        in_flight: 0,
     });
+    // Signalled whenever a lease settles, so idle workers re-check the queue.
+    let settled = Condvar::new();
 
     std::thread::scope(|scope| {
         for mut context in contexts {
-            let shared = &shared;
+            let (shared, settled) = (&shared, &settled);
             let run = &run;
-            scope.spawn(move || worker_loop(shared, config, &mut context, run));
+            scope.spawn(move || worker_loop(shared, settled, config, &mut context, run));
         }
     });
 
@@ -313,6 +320,7 @@ where
 
 fn worker_loop<J, T, H, C, R>(
     shared: &Mutex<Shared<'_, J, T, H>>,
+    settled: &Condvar,
     config: &PoolConfig,
     context: &mut C,
     run: &R,
@@ -323,33 +331,47 @@ fn worker_loop<J, T, H, C, R>(
     loop {
         let Lease { job, attempt } = {
             let mut guard = shared.lock().expect("pool lock");
-            if guard.failure.is_some() {
-                return;
-            }
-            if let Some(limit) = config.max_completions {
-                if guard.completions >= limit {
+            let lease = loop {
+                if guard.failure.is_some() {
                     return;
                 }
-            }
-            let Some(lease) = guard.queue.pop_front() else {
-                return;
+                if let Some(limit) = config.max_completions {
+                    if guard.completions >= limit {
+                        return;
+                    }
+                }
+                if let Some(lease) = guard.queue.pop_front() {
+                    break lease;
+                }
+                // An in-flight lease can still come back (an interrupted
+                // worker re-queues it and leaves), so stay until none is
+                // left to settle.
+                if guard.in_flight == 0 {
+                    return;
+                }
+                guard = settled.wait(guard).expect("pool lock");
             };
             if let Err(e) = guard.hooks.on_dequeued(&lease.job, lease.attempt) {
                 guard.failure = Some(e);
+                settled.notify_all();
                 return;
             }
+            guard.in_flight += 1;
             lease
         };
 
-        let outcome = match run(context, &job, attempt) {
+        let outcome = run(context, &job, attempt);
+        let mut guard = shared.lock().expect("pool lock");
+        guard.in_flight -= 1;
+        // Waiters wake once this critical section has applied the outcome.
+        settled.notify_all();
+        let outcome = match outcome {
             Ok(outcome) => outcome,
             Err(e) => {
-                shared.lock().expect("pool lock").failure = Some(e);
+                guard.failure = Some(e);
                 return;
             }
         };
-
-        let mut guard = shared.lock().expect("pool lock");
         let (result, verdict) = match outcome {
             Attempt::Completed(value) => (Ok(value), Verdict::Completed),
             Attempt::Failed(reason) if attempt > config.max_retries => (Err(reason), Verdict::Dead),
@@ -382,7 +404,7 @@ fn worker_loop<J, T, H, C, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     fn first_attempts<J>(jobs: impl IntoIterator<Item = J>) -> Vec<(J, u32)> {
         jobs.into_iter().map(|j| (j, 1)).collect()
@@ -576,16 +598,25 @@ mod tests {
         assert_eq!(hooks.events.len(), 2);
     }
 
-    /// A fake per-worker transport: worker `0` dies when it first touches
-    /// the designated job; every other worker completes everything.
-    struct FlakyWorker {
-        id: usize,
-        dead: bool,
+    /// A fake transport for two workers: whichever worker first touches
+    /// `victim` dies under it (an interrupted worker leaves the pool), and
+    /// every other attempt completes. Keying the death on the first touch
+    /// rather than on a worker id makes the steal happen under every
+    /// thread interleaving.
+    fn kill_first_victim_attempt<E>(
+        killed: &AtomicBool,
+    ) -> impl Fn(&mut (), &&str, u32) -> Result<Attempt<u32>, E> + Sync + '_ {
+        move |_worker, job, attempt| {
+            if *job == "victim" && !killed.swap(true, Ordering::SeqCst) {
+                return Ok(Attempt::Interrupted("kill -9".into()));
+            }
+            Ok(Attempt::Completed(attempt))
+        }
     }
 
     #[test]
     fn a_stolen_lease_retries_at_the_same_attempt() {
-        // The satellite bugfix regression: a lease interrupted on worker 0
+        // Regression: a lease interrupted on one worker
         // must be re-run by a surviving worker at the SAME attempt — the
         // steal must not count against the retry budget of either worker.
         let config = PoolConfig {
@@ -593,28 +624,17 @@ mod tests {
             max_retries: 0, // any burned retry would dead-letter the job
             max_completions: None,
         };
-        let contexts = vec![
-            FlakyWorker { id: 0, dead: false },
-            FlakyWorker { id: 1, dead: false },
-        ];
         let mut hooks = Recording {
             events: Vec::new(),
             fail_on_settle: false,
         };
+        let killed = AtomicBool::new(false);
         let outcome = drain_pool_ctx(
             [Lease::new("victim", 1), Lease::new("other", 1)],
             &config,
             &mut hooks,
-            contexts,
-            |worker: &mut FlakyWorker, job, attempt| {
-                if worker.id == 0 && *job == "victim" {
-                    worker.dead = true;
-                }
-                if worker.dead {
-                    return Ok(Attempt::Interrupted("kill -9".into()));
-                }
-                Ok(Attempt::Completed(attempt))
-            },
+            vec![(), ()],
+            kill_first_victim_attempt(&killed),
         )
         .unwrap();
         assert!(outcome.dead.is_empty(), "{:?}", outcome.dead);
@@ -670,24 +690,13 @@ mod tests {
             max_completions: None,
         };
         let mut hooks = MeteredHooks::new(NoHooks, &mut metrics, 2);
-        let contexts = vec![
-            FlakyWorker { id: 0, dead: false },
-            FlakyWorker { id: 1, dead: false },
-        ];
+        let killed = AtomicBool::new(false);
         drain_pool_ctx(
             [Lease::new("victim", 1), Lease::new("other", 1)],
             &config,
             &mut hooks,
-            contexts,
-            |worker: &mut FlakyWorker, job, attempt| {
-                if worker.id == 0 && *job == "victim" {
-                    worker.dead = true;
-                }
-                if worker.dead {
-                    return Ok(Attempt::Interrupted("kill -9".into()));
-                }
-                Ok(Attempt::Completed(attempt))
-            },
+            vec![(), ()],
+            kill_first_victim_attempt(&killed),
         )
         .unwrap();
         let snapshot = telemetry::Registry::parse_snapshot(&metrics.snapshot()).unwrap();

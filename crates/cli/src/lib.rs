@@ -1740,9 +1740,14 @@ fn execute_campaign(action: &CampaignAction) -> Result<String, CliError> {
         }
         CampaignAction::Status { dir } => {
             let paths = CampaignPaths::new(dir);
-            let spec = read_campaign_spec(&paths)?;
-            let status =
-                campaign_status(&spec, &paths).map_err(|e| CliError::Tool(e.to_string()))?;
+            // A mapreduce grid directory holds `grid.spec` instead of
+            // `campaign.spec`; both summarize into the same status.
+            let status = if grid_spec_path(&paths).exists() {
+                campaign::mapreduce::grid_status(&read_grid_spec(&paths)?, &paths)
+            } else {
+                campaign_status(&read_campaign_spec(&paths)?, &paths)
+            }
+            .map_err(|e| CliError::Tool(e.to_string()))?;
             let mut out = String::new();
             writeln!(
                 out,
@@ -1829,9 +1834,14 @@ fn execute_campaign(action: &CampaignAction) -> Result<String, CliError> {
     }
 }
 
+/// Where a mapreduce campaign directory persists its grid spec.
+fn grid_spec_path(paths: &CampaignPaths) -> std::path::PathBuf {
+    paths.dir().join("grid.spec")
+}
+
 /// Reads the grid spec persisted in a mapreduce campaign directory.
 fn read_grid_spec(paths: &CampaignPaths) -> Result<campaign::mapreduce::GridSpec, CliError> {
-    let path = paths.dir().join("grid.spec");
+    let path = grid_spec_path(paths);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         CliError::Tool(format!(
             "cannot read {} ({e}); was this grid started with `campaign mapreduce`?",
@@ -1856,7 +1866,7 @@ fn execute_mapreduce(
     use campaign::mapreduce::{ProcessTransport, SimTransport, WorkerTransport};
 
     let paths = CampaignPaths::new(dir);
-    let spec_path = paths.dir().join("grid.spec");
+    let spec_path = grid_spec_path(&paths);
     if spec_path.exists() {
         let existing = read_grid_spec(&paths)?;
         if &existing != spec {
@@ -3686,6 +3696,63 @@ mod tests {
             dir: format!("{dir_str}-nope"),
         }))
         .is_err());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn campaign_status_reads_a_mapreduce_grid_directory() {
+        let dir =
+            std::env::temp_dir().join(format!("dramdig-cli-grid-status-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_str = dir.to_str().unwrap().to_string();
+        let spec = campaign::mapreduce::GridSpec {
+            scenarios: 2,
+            seed: 1,
+            profile: Profile::Fast,
+            max_retries: 0,
+        };
+        let status = || {
+            execute(&Command::Campaign(CampaignAction::Status {
+                dir: dir_str.clone(),
+            }))
+        };
+
+        // A grid whose spec is persisted but whose jobs never ran: both
+        // are pending at their first attempt.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("grid.spec"), spec.encode()).unwrap();
+        let out = status().unwrap();
+        assert!(out.contains("0/2 completed, 0 dead, 2 pending"), "{out}");
+        assert!(
+            out.contains("pending g0000-s1-fast (next attempt 1)"),
+            "{out}"
+        );
+
+        let out = execute(&Command::Campaign(CampaignAction::Mapreduce {
+            dir: dir_str.clone(),
+            spec: spec.clone(),
+            processes: 2,
+            transport: MapTransport::Sim,
+            worker_bin: None,
+            inject_kill: None,
+            history: None,
+            metrics: None,
+        }))
+        .unwrap();
+        assert!(out.contains("2/2 jobs completed"), "{out}");
+
+        // The drained grid reports every job done and its mappings.
+        let out = status().unwrap();
+        assert!(out.contains("2/2 completed, 0 dead, 0 pending"), "{out}");
+        assert!(!out.contains("pending g"), "{out}");
+
+        // A corrupt grid spec is an error, not a silent fallback.
+        std::fs::write(dir.join("grid.spec"), "scenarios = many\n").unwrap();
+        assert!(status()
+            .unwrap_err()
+            .to_string()
+            .contains("corrupt grid spec"));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

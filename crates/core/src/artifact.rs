@@ -18,6 +18,7 @@
 //! resumed measurement stream — and therefore the cost accounting — to match
 //! the uninterrupted run exactly.
 
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 
 use dram_model::gf2::PileBasis;
@@ -99,12 +100,32 @@ pub struct PhaseCheckpoint {
     pub cache: Vec<(u64, u64, bool)>,
 }
 
-fn encode_list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
-    items
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// Appends the decimal digits of `value` — what `{value}` formats to,
+/// without the formatting machinery, which dominates a pool-sized list.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Appends `items` to `out`, comma-separated, without a per-item `String`.
+fn write_list(out: &mut String, items: impl IntoIterator<Item = u64>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, item);
+    }
 }
 
 fn decode_u8_list(line: usize, key: &str, value: &str) -> Result<Vec<u8>, CodecError> {
@@ -143,8 +164,10 @@ fn decode_addr_list(line: usize, key: &str, value: &str) -> Result<Vec<PhysAddr>
         .collect())
 }
 
-fn encode_basis(basis: &PileBasis) -> String {
-    format!("{};{}", basis.pivot(), encode_list(basis.rows().iter()))
+fn write_basis(out: &mut String, basis: &PileBasis) {
+    push_u64(out, basis.pivot());
+    out.push(';');
+    write_list(out, basis.rows().iter().copied());
 }
 
 fn decode_basis(line: usize, key: &str, value: &str) -> Result<PileBasis, CodecError> {
@@ -168,79 +191,114 @@ fn decode_basis(line: usize, key: &str, value: &str) -> Result<PileBasis, CodecE
     Ok(basis)
 }
 
+/// [`PhaseCheckpoint::encode`] over borrowed parts, so the engine can
+/// encode a fresh artifact's checkpoint and then move the artifact into the
+/// pipeline state without cloning it.
+///
+/// Everything is written into one `String` pre-sized for the address lists
+/// and the cache snapshot, the two parts that grow with the pool.
+pub(crate) fn encode_checkpoint(
+    phase: Phase,
+    costs: &PhaseCosts,
+    artifact: &PhaseArtifact,
+    cache: &[(u64, u64, bool)],
+) -> String {
+    // Decimal addresses stay below 20 digits plus a separator; a cache
+    // line is its index, two addresses and the verdict.
+    let addresses = match artifact {
+        PhaseArtifact::Partition(p) => {
+            p.partition.unassigned.len() + p.partition.piles.iter().map(Pile::len).sum::<usize>()
+        }
+        _ => 0,
+    };
+    let mut out = String::with_capacity(256 + 21 * addresses + 64 * cache.len());
+    writeln!(out, "phase = {}", phase.name()).expect(INFALLIBLE);
+    writeln!(out, "costs = {}", report::encode_costs(costs)).expect(INFALLIBLE);
+    match artifact {
+        PhaseArtifact::Calibration(c) => {
+            writeln!(out, "threshold_ns = {}", c.threshold_ns).expect(INFALLIBLE);
+        }
+        PhaseArtifact::Coarse(c) => {
+            for (key, bits) in [
+                ("coarse_rows", &c.row_bits),
+                ("coarse_cols", &c.column_bits),
+                ("coarse_banks", &c.bank_bits),
+                ("coarse_undetermined", &c.undetermined),
+            ] {
+                write_line(&mut out, key, bits.iter().map(|&b| u64::from(b)));
+            }
+        }
+        PhaseArtifact::Partition(p) => {
+            writeln!(out, "pool = {}", p.pool_size).expect(INFALLIBLE);
+            writeln!(out, "rejected = {}", p.partition.rejected_piles).expect(INFALLIBLE);
+            write_line(
+                &mut out,
+                "unassigned",
+                p.partition.unassigned.iter().map(|a| a.raw()),
+            );
+            if let Some(kernel) = &p.partition.kernel {
+                out.push_str("kernel = ");
+                write_basis(&mut out, kernel);
+                out.push('\n');
+            }
+            for (i, pile) in p.partition.piles.iter().enumerate() {
+                write!(out, "pile.{i} = ").expect(INFALLIBLE);
+                push_u64(&mut out, pile.pivot.raw());
+                out.push(';');
+                write_list(&mut out, pile.members.iter().map(|a| a.raw()));
+                out.push('\n');
+            }
+        }
+        PhaseArtifact::Functions(d) => {
+            write_line(&mut out, "functions", d.functions.iter().map(|f| f.mask()));
+            write_line(
+                &mut out,
+                "consistent",
+                d.consistent_masks.iter().map(|f| f.mask()),
+            );
+        }
+        PhaseArtifact::Fine(f) => {
+            for (key, bits) in [
+                ("fine_rows", &f.row_bits),
+                ("fine_cols", &f.column_bits),
+                ("fine_pure", &f.pure_bank_bits),
+                ("fine_measured", &f.measured_shared_rows),
+                ("fine_inferred", &f.inferred_bits),
+            ] {
+                write_line(&mut out, key, bits.iter().map(|&b| u64::from(b)));
+            }
+        }
+        PhaseArtifact::Validation(v) => {
+            writeln!(out, "bit_checks = {}", v.bit_checks).expect(INFALLIBLE);
+            writeln!(out, "pair_checks = {}", v.pair_checks).expect(INFALLIBLE);
+            writeln!(out, "cached_checks = {}", v.cached_checks).expect(INFALLIBLE);
+            writeln!(out, "mismatches = {}", v.mismatches).expect(INFALLIBLE);
+        }
+    }
+    for (i, (a, b, verdict)) in cache.iter().enumerate() {
+        out.push_str("cache.");
+        push_u64(&mut out, i as u64);
+        out.push_str(" = ");
+        write_list(&mut out, [*a, *b, u64::from(*verdict)]);
+        out.push('\n');
+    }
+    out
+}
+
+/// Appends one `key = item,item,...` line.
+fn write_line(out: &mut String, key: &str, items: impl IntoIterator<Item = u64>) {
+    out.push_str(key);
+    out.push_str(" = ");
+    write_list(out, items);
+    out.push('\n');
+}
+
 impl PhaseCheckpoint {
     /// Serializes the checkpoint as `key = value` lines.
     /// [`PhaseCheckpoint::decode`] is the exact inverse.
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("phase = {}\n", self.phase.name()));
-        out.push_str(&format!("costs = {}\n", report::encode_costs(&self.costs)));
-        match &self.artifact {
-            PhaseArtifact::Calibration(c) => {
-                out.push_str(&format!("threshold_ns = {}\n", c.threshold_ns));
-            }
-            PhaseArtifact::Coarse(c) => {
-                out.push_str(&format!("coarse_rows = {}\n", encode_list(&c.row_bits)));
-                out.push_str(&format!("coarse_cols = {}\n", encode_list(&c.column_bits)));
-                out.push_str(&format!("coarse_banks = {}\n", encode_list(&c.bank_bits)));
-                out.push_str(&format!(
-                    "coarse_undetermined = {}\n",
-                    encode_list(&c.undetermined)
-                ));
-            }
-            PhaseArtifact::Partition(p) => {
-                out.push_str(&format!("pool = {}\n", p.pool_size));
-                out.push_str(&format!("rejected = {}\n", p.partition.rejected_piles));
-                out.push_str(&format!(
-                    "unassigned = {}\n",
-                    encode_list(p.partition.unassigned.iter().map(|a| a.raw()))
-                ));
-                if let Some(kernel) = &p.partition.kernel {
-                    out.push_str(&format!("kernel = {}\n", encode_basis(kernel)));
-                }
-                for (i, pile) in p.partition.piles.iter().enumerate() {
-                    out.push_str(&format!(
-                        "pile.{i} = {};{}\n",
-                        pile.pivot.raw(),
-                        encode_list(pile.members.iter().map(|a| a.raw()))
-                    ));
-                }
-            }
-            PhaseArtifact::Functions(d) => {
-                out.push_str(&format!(
-                    "functions = {}\n",
-                    encode_list(d.functions.iter().map(|f| f.mask()))
-                ));
-                out.push_str(&format!(
-                    "consistent = {}\n",
-                    encode_list(d.consistent_masks.iter().map(|f| f.mask()))
-                ));
-            }
-            PhaseArtifact::Fine(f) => {
-                out.push_str(&format!("fine_rows = {}\n", encode_list(&f.row_bits)));
-                out.push_str(&format!("fine_cols = {}\n", encode_list(&f.column_bits)));
-                out.push_str(&format!("fine_pure = {}\n", encode_list(&f.pure_bank_bits)));
-                out.push_str(&format!(
-                    "fine_measured = {}\n",
-                    encode_list(&f.measured_shared_rows)
-                ));
-                out.push_str(&format!(
-                    "fine_inferred = {}\n",
-                    encode_list(&f.inferred_bits)
-                ));
-            }
-            PhaseArtifact::Validation(v) => {
-                out.push_str(&format!("bit_checks = {}\n", v.bit_checks));
-                out.push_str(&format!("pair_checks = {}\n", v.pair_checks));
-                out.push_str(&format!("cached_checks = {}\n", v.cached_checks));
-                out.push_str(&format!("mismatches = {}\n", v.mismatches));
-            }
-        }
-        for (i, (a, b, verdict)) in self.cache.iter().enumerate() {
-            out.push_str(&format!("cache.{i} = {a},{b},{}\n", u8::from(*verdict)));
-        }
-        out
+        encode_checkpoint(self.phase, &self.costs, &self.artifact, &self.cache)
     }
 
     /// Parses a checkpoint written by [`PhaseCheckpoint::encode`].
@@ -512,7 +570,13 @@ impl CheckpointStore {
     ///
     /// Returns [`DramDigError::Checkpoint`] on IO failures.
     pub fn save_phase(&self, checkpoint: &PhaseCheckpoint) -> Result<(), DramDigError> {
-        self.write_atomic(&self.phase_path(checkpoint.phase), &checkpoint.encode())
+        self.save_encoded(checkpoint.phase, &checkpoint.encode())
+    }
+
+    /// Persists one completed phase already encoded by
+    /// [`PhaseCheckpoint::encode`] (or its borrowed twin).
+    pub(crate) fn save_encoded(&self, phase: Phase, text: &str) -> Result<(), DramDigError> {
+        self.write_atomic(&self.phase_path(phase), text)
     }
 
     /// Atomically writes an arbitrary sidecar file into the checkpoint

@@ -70,7 +70,7 @@ use mem_probe::{
 };
 
 use crate::artifact::{
-    CalibrationArtifact, CheckpointStore, PartitionArtifact, PhaseArtifact, PhaseCheckpoint,
+    self, CalibrationArtifact, CheckpointStore, PartitionArtifact, PhaseArtifact,
 };
 use crate::coarse::{self, CoarseBits};
 use crate::config::DramDigConfig;
@@ -768,22 +768,23 @@ impl PipelineEngine {
 
         // Replay the restored prefix: artifacts into the state, the last
         // cache snapshot into the oracle, costs into the ledger.
-        for record in &restored {
+        let resumed = restored.len();
+        let mut last_cache = Vec::new();
+        for record in restored {
             if let PhaseArtifact::Calibration(c) = &record.artifact {
                 oracle.set_calibration(LatencyCalibration::from_threshold(c.threshold_ns));
             }
-            state.apply(record.artifact.clone())?;
+            state.apply(record.artifact)?;
             phase_costs.push((record.phase, record.costs));
             observer.on_event(&EngineEvent::PhaseRestored {
                 phase: record.phase,
                 costs: record.costs,
             });
+            last_cache = record.cache;
         }
-        if let Some(last) = restored.last() {
-            if let Some(cache) = oracle.cache_mut() {
-                for &(a, b, verdict) in &last.cache {
-                    cache.record(PhysAddr::new(a), PhysAddr::new(b), verdict);
-                }
+        if let Some(cache) = oracle.cache_mut() {
+            for (a, b, verdict) in last_cache {
+                cache.record(PhysAddr::new(a), PhysAddr::new(b), verdict);
             }
         }
         // Budgets cap what *this invocation* spends: costs restored from
@@ -793,7 +794,7 @@ impl PipelineEngine {
         let restored_spent = total_costs(&phase_costs);
 
         for (index, phase) in Phase::ALL.into_iter().enumerate() {
-            if index < restored.len() {
+            if index < resumed {
                 continue; // restored from a checkpoint above
             }
             if phase == Phase::Validation && !self.config.validate {
@@ -856,7 +857,6 @@ impl PipelineEngine {
                     measured: record.measured,
                 });
             }
-            state.apply(artifact.clone())?;
 
             // A validation tally below the agreement gate is a *failure*,
             // not a phase output worth persisting: checkpointing it would
@@ -867,8 +867,11 @@ impl PipelineEngine {
                 }
             }
 
-            let checkpointed = if let Some(store) = &store {
-                let cache = oracle
+            // Encode the checkpoint from the borrowed artifact, move the
+            // artifact into the state, and persist only once the state has
+            // accepted it.
+            let encoded = store.as_ref().map(|_| {
+                let cache: Vec<(u64, u64, bool)> = oracle
                     .cache()
                     .map(|cache| {
                         cache
@@ -877,15 +880,15 @@ impl PipelineEngine {
                             .collect()
                     })
                     .unwrap_or_default();
-                store.save_phase(&PhaseCheckpoint {
-                    phase,
-                    costs,
-                    artifact,
-                    cache,
-                })?;
-                true
-            } else {
-                false
+                artifact::encode_checkpoint(phase, &costs, &artifact, &cache)
+            });
+            state.apply(artifact)?;
+            let checkpointed = match (&store, encoded) {
+                (Some(store), Some(text)) => {
+                    store.save_encoded(phase, &text)?;
+                    true
+                }
+                _ => false,
             };
             phase_costs.push((phase, costs));
             observer.on_event(&EngineEvent::PhaseCompleted {

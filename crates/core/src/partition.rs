@@ -8,6 +8,8 @@
 //! expected `pool / #banks`, which filters out piles corrupted by measurement
 //! noise; partitioning stops once `per_threshold` of the pool is assigned.
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -288,7 +290,16 @@ pub fn partition_decompose<P: MemoryProbe>(
     }
     let kernel_rank = dim_pool - needed;
 
-    let pool_set: std::collections::HashSet<u64> = pool.iter().map(|a| a.raw()).collect();
+    // Pool membership by binary search; only an unsorted pool pays for a
+    // sorted copy.
+    let sorted_pool: Cow<'_, [PhysAddr]> = if pool.windows(2).all(|w| w[0] <= w[1]) {
+        Cow::Borrowed(pool)
+    } else {
+        let mut copy = pool.to_vec();
+        copy.sort_unstable();
+        Cow::Owned(copy)
+    };
+    let in_pool = |raw: u64| sorted_pool.binary_search(&PhysAddr::new(raw)).is_ok();
     let pivot = *pool.choose(rng).expect("pool is non-empty");
     let mut kernel = PileBasis::new(pivot.raw());
     let mut queries = 0u32;
@@ -325,7 +336,7 @@ pub fn partition_decompose<P: MemoryProbe>(
         while next_candidate < candidates.len() {
             let d = candidates[next_candidate];
             next_candidate += 1;
-            if !kernel.spans_difference(d) && pool_set.contains(&(pivot.raw() ^ d)) {
+            if !kernel.spans_difference(d) && in_pool(pivot.raw() ^ d) {
                 picked = Some((pivot, d));
                 break;
             }
@@ -360,30 +371,47 @@ pub fn partition_decompose<P: MemoryProbe>(
     // Assign every pool address to its coset — pure computation, reduced in
     // bitsliced blocks of 64 addresses per basis pass (identical output to
     // the per-address `kernel.reduce`, which remains the differential twin).
+    // A reduced difference keeps only the varying bits that lead no kernel
+    // row, `log2(num_banks)` of them; gathering those bits numbers the
+    // cosets densely and in ascending canonical order, so piles keep that
+    // order and pool order within each pile.
+    let leads = kernel
+        .rows()
+        .iter()
+        .fold(0u64, |m, &row| m | 1u64 << (63 - row.leading_zeros()));
+    let coset_bits = dram_model::bits::bit_positions(varying & !leads);
+    let coset_index = |reduced: u64| dram_model::bits::gather_bits(reduced, &coset_bits) as usize;
     let differences: Vec<u64> = pool.iter().map(|a| a.raw() ^ pivot.raw()).collect();
-    let cosets = kernel.reduce_batch(&differences);
-    let mut piles_by_coset: std::collections::BTreeMap<u64, Vec<PhysAddr>> = Default::default();
-    for (&addr, coset) in pool.iter().zip(cosets) {
-        piles_by_coset.entry(coset).or_default().push(addr);
+    let cosets: Vec<usize> = kernel
+        .reduce_batch(&differences)
+        .into_iter()
+        .map(coset_index)
+        .collect();
+    let mut sizes = vec![0usize; num_banks as usize];
+    for &coset in &cosets {
+        sizes[coset] += 1;
     }
-    if piles_by_coset.len() != num_banks as usize {
+    let found = sizes.iter().filter(|&&n| n > 0).count();
+    if found != num_banks as usize {
         return Err(DramDigError::Partition {
-            reason: format!(
-                "decomposition produced {} cosets for {num_banks} banks",
-                piles_by_coset.len()
-            ),
+            reason: format!("decomposition produced {found} cosets for {num_banks} banks"),
         });
     }
-    let evidenced: std::collections::HashSet<u64> = positives
-        .iter()
-        .map(|a| kernel.reduce(a.raw() ^ pivot.raw()))
-        .collect();
+    let mut piles_by_coset: Vec<Vec<PhysAddr>> =
+        sizes.into_iter().map(Vec::with_capacity).collect();
+    for (&addr, &coset) in pool.iter().zip(&cosets) {
+        piles_by_coset[coset].push(addr);
+    }
+    let mut evidenced = vec![false; num_banks as usize];
+    for a in &positives {
+        evidenced[coset_index(kernel.reduce(a.raw() ^ pivot.raw()))] = true;
+    }
 
     // One measured spot check per pile whose purity no learning query
     // already witnessed: a pair of computed same-bank members must conflict.
     let mut piles = Vec::with_capacity(piles_by_coset.len());
-    for (coset, members) in piles_by_coset {
-        if members.len() >= 2 && !evidenced.contains(&coset) {
+    for (members, evidenced) in piles_by_coset.into_iter().zip(evidenced) {
+        if members.len() >= 2 && !evidenced {
             let a = members[0];
             let b = members[members.len() / 2];
             if !oracle.is_sbdr(a, b) {
@@ -632,6 +660,243 @@ mod tests {
         for m in &pile.members {
             assert!(basis.spans_difference(m.raw() ^ pile.pivot.raw()));
         }
+    }
+
+    /// The decomposition as first written — a hash set for pool membership,
+    /// a `BTreeMap` keyed by canonical coset — kept as the differential
+    /// oracle of [`partition_decompose`].
+    fn partition_decompose_reference<P: MemoryProbe>(
+        oracle: &mut ConflictOracle<P>,
+        pool: &[PhysAddr],
+        num_banks: u32,
+        cfg: &DramDigConfig,
+        rng: &mut StdRng,
+    ) -> Result<Partition, DramDigError> {
+        let pool_sz = pool.len();
+        if pool_sz < num_banks as usize {
+            return Err(DramDigError::Partition {
+                reason: format!("pool of {pool_sz} addresses cannot fill {num_banks} banks"),
+            });
+        }
+        if !num_banks.is_power_of_two() || num_banks < 2 {
+            return Err(DramDigError::Partition {
+                reason: format!("bank count {num_banks} is not a power of two greater than one"),
+            });
+        }
+        let needed = num_banks.trailing_zeros() as usize;
+
+        // The bits the pool actually varies; the kernel lives inside their span.
+        let base = pool[0].raw();
+        let varying: u64 = pool.iter().fold(0, |m, a| m | (a.raw() ^ base));
+        let vbits = dram_model::bits::bit_positions(varying);
+        let dim_pool = vbits.len();
+        if dim_pool < needed {
+            return Err(DramDigError::Partition {
+                reason: format!(
+                    "pool varies only {dim_pool} bits but {num_banks} banks need {needed}"
+                ),
+            });
+        }
+        let kernel_rank = dim_pool - needed;
+
+        let pool_set: std::collections::HashSet<u64> = pool.iter().map(|a| a.raw()).collect();
+        let pivot = *pool.choose(rng).expect("pool is non-empty");
+        let mut kernel = PileBasis::new(pivot.raw());
+        let mut queries = 0u32;
+        // Same-bank pairs observed while learning; their cosets need no
+        // further spot check.
+        let mut positives: Vec<PhysAddr> = Vec::new();
+
+        // Deterministic candidates: weight-2 differences, then single bits.
+        let mut candidates: Vec<u64> = Vec::new();
+        for (i, &a) in vbits.iter().enumerate() {
+            for &b in vbits.iter().skip(i + 1) {
+                candidates.push((1u64 << a) | (1u64 << b));
+            }
+        }
+        candidates.extend(vbits.iter().map(|&b| 1u64 << b));
+
+        let mut next_candidate = 0usize;
+        while kernel.rank() < kernel_rank {
+            if queries >= cfg.max_decompose_queries {
+                return Err(DramDigError::Partition {
+                    reason: format!(
+                        "kernel rank stalled at {}/{kernel_rank} after {queries} decompose queries",
+                        kernel.rank()
+                    ),
+                });
+            }
+            // Pick the next unspanned difference: deterministic list first, then
+            // random base/partner pairs (which also re-measure noise-suspect
+            // differences through fresh address pairs). Both phases are bounded:
+            // a pool whose pairwise differences cannot complete the kernel (the
+            // OR of differences over-estimates their XOR-span) must stall out to
+            // the exhaustive fallback, not spin here.
+            let mut picked = None;
+            while next_candidate < candidates.len() {
+                let d = candidates[next_candidate];
+                next_candidate += 1;
+                if !kernel.spans_difference(d) && pool_set.contains(&(pivot.raw() ^ d)) {
+                    picked = Some((pivot, d));
+                    break;
+                }
+            }
+            if picked.is_none() {
+                for _ in 0..pool_sz.max(64) {
+                    let r = *pool.choose(rng).expect("pool is non-empty");
+                    let c = *pool.choose(rng).expect("pool is non-empty");
+                    let d = r.raw() ^ c.raw();
+                    if d != 0 && !kernel.spans_difference(d) {
+                        picked = Some((r, d));
+                        break;
+                    }
+                }
+            }
+            let Some((base_addr, diff)) = picked else {
+                return Err(DramDigError::Partition {
+                    reason: format!(
+                        "no unspanned pool difference left with kernel rank {}/{kernel_rank}",
+                        kernel.rank()
+                    ),
+                });
+            };
+            queries += 1;
+            let partner = PhysAddr::new(base_addr.raw() ^ diff);
+            if oracle.is_sbdr(base_addr, partner) {
+                kernel.insert(pivot.raw() ^ diff);
+                positives.push(base_addr);
+            }
+        }
+
+        // Assign every pool address to its coset — pure computation, reduced in
+        // bitsliced blocks of 64 addresses per basis pass (identical output to
+        // the per-address `kernel.reduce`, which remains the differential twin).
+        let differences: Vec<u64> = pool.iter().map(|a| a.raw() ^ pivot.raw()).collect();
+        let cosets = kernel.reduce_batch(&differences);
+        let mut piles_by_coset: std::collections::BTreeMap<u64, Vec<PhysAddr>> = Default::default();
+        for (&addr, coset) in pool.iter().zip(cosets) {
+            piles_by_coset.entry(coset).or_default().push(addr);
+        }
+        if piles_by_coset.len() != num_banks as usize {
+            return Err(DramDigError::Partition {
+                reason: format!(
+                    "decomposition produced {} cosets for {num_banks} banks",
+                    piles_by_coset.len()
+                ),
+            });
+        }
+        let evidenced: std::collections::HashSet<u64> = positives
+            .iter()
+            .map(|a| kernel.reduce(a.raw() ^ pivot.raw()))
+            .collect();
+
+        // One measured spot check per pile whose purity no learning query
+        // already witnessed: a pair of computed same-bank members must conflict.
+        let mut piles = Vec::with_capacity(piles_by_coset.len());
+        for (coset, members) in piles_by_coset {
+            if members.len() >= 2 && !evidenced.contains(&coset) {
+                let a = members[0];
+                let b = members[members.len() / 2];
+                if !oracle.is_sbdr(a, b) {
+                    return Err(DramDigError::Partition {
+                        reason: format!(
+                            "spot check failed: {a} and {b} share a computed pile but do not conflict"
+                        ),
+                    });
+                }
+            }
+            piles.push(Pile {
+                pivot: members[0],
+                members,
+            });
+        }
+
+        Ok(Partition {
+            piles,
+            unassigned: Vec::new(),
+            rejected_piles: 0,
+            kernel: Some(kernel),
+        })
+    }
+
+    fn generated_oracle(
+        machine: &dram_model::GeneratedMachine,
+        noisy: bool,
+    ) -> ConflictOracle<SimProbe> {
+        let config = if noisy {
+            SimConfig::default()
+        } else {
+            SimConfig::noiseless()
+        };
+        let sim = SimMachine::from_generated(machine, config.with_seed(7));
+        let threshold = sim.controller().config().timing.oracle_threshold_ns();
+        let probe = SimProbe::new(sim, PhysMemory::full(machine.system.capacity_bytes));
+        ConflictOracle::new(probe, LatencyCalibration::from_threshold(threshold))
+    }
+
+    /// Runs the decomposition and its reference on fresh oracles with equal
+    /// seeds and asserts the same outcome and the same measurement stream.
+    fn assert_decompose_matches_reference(
+        machine: &dram_model::GeneratedMachine,
+        pool: &[PhysAddr],
+        noisy: bool,
+        seed: u64,
+    ) {
+        let num_banks = machine.system.total_banks();
+        let cfg = DramDigConfig::default();
+        let mut oracle = generated_oracle(machine, noisy);
+        let fast = partition_decompose(
+            &mut oracle,
+            pool,
+            num_banks,
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let mut reference_oracle = generated_oracle(machine, noisy);
+        let reference = partition_decompose_reference(
+            &mut reference_oracle,
+            pool,
+            num_banks,
+            &cfg,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        match (&fast, &reference) {
+            (Ok(fast), Ok(reference)) => assert_eq!(fast, reference, "{machine}"),
+            _ => assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{machine}"),
+        }
+        assert_eq!(oracle.stats(), reference_oracle.stats(), "{machine}");
+    }
+
+    #[test]
+    fn decompose_matches_the_reference_on_generated_pools() {
+        use dram_model::{MachineClass, MachineGen};
+        use rand::seq::SliceRandom;
+        // One generated machine per pool size from 2^9 to 2^17 addresses.
+        let mut sizes_seen = std::collections::BTreeSet::new();
+        for seed in 0..400u64 {
+            let class = [MachineClass::InScope, MachineClass::RowRemap][seed as usize % 2];
+            let machine = MachineGen::new(seed).generate(class);
+            let bank_bits = machine.mapping().bank_function_bits();
+            if !(9..=17).contains(&bank_bits.len()) || !sizes_seen.insert(bank_bits.len()) {
+                continue;
+            }
+            let memory = PhysMemory::full(machine.system.capacity_bytes);
+            let mut pool = select_addresses(&memory, &bank_bits, None)
+                .unwrap()
+                .addresses;
+            assert_decompose_matches_reference(&machine, &pool, false, seed);
+            assert_decompose_matches_reference(&machine, &pool, true, seed);
+            if sizes_seen.len() == 1 {
+                // A deliberately unsorted pool: membership must not assume
+                // ascending order, and pile member order follows the pool.
+                pool.shuffle(&mut StdRng::seed_from_u64(seed));
+                assert_decompose_matches_reference(&machine, &pool, false, seed);
+            }
+        }
+        assert_eq!(
+            sizes_seen.into_iter().collect::<Vec<_>>(),
+            (9..=17).collect::<Vec<_>>()
+        );
     }
 
     #[test]

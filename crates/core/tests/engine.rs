@@ -507,3 +507,30 @@ proptest! {
         );
     }
 }
+
+/// The partition checkpoint of a small generated job (a 512-address
+/// Decompose pool), pinned byte for byte: the encoder's output format is
+/// what resumes and the perf benchmark's `core.checkpoint.bytes` read.
+#[test]
+fn partition_checkpoint_text_is_pinned() {
+    use dram_model::{MachineClass, MachineGen};
+    let machine = MachineGen::new(4).generate(MachineClass::InScope);
+    assert_eq!(machine.mapping().bank_function_bits().len(), 9, "{machine}");
+    let config = DramDigConfig::optimized().with_seed(5);
+    let sim = SimMachine::from_generated(&machine, SimConfig::default().with_seed(5));
+    let mut probe = SimProbe::new(sim, PhysMemory::full(machine.system.capacity_bytes));
+    let dir = temp_dir("golden-partition");
+    let err = PipelineEngine::new(DomainKnowledge::for_generated(&machine), config)
+        .run(
+            &mut probe,
+            &EngineOptions::default()
+                .with_checkpoint(&dir)
+                .with_stop_after(Phase::Partition),
+            &mut NullObserver,
+        )
+        .unwrap_err();
+    assert!(matches!(err, DramDigError::Interrupted { .. }), "{err}");
+    let text = std::fs::read_to_string(dir.join("02-partition.phase")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(text, include_str!("golden/partition_checkpoint.phase"));
+}

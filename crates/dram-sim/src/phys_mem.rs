@@ -132,7 +132,7 @@ impl PhysMemory {
 
     /// Allocated page frame numbers, ascending. Full pools materialise the
     /// list on demand — callers on the measurement path should prefer
-    /// [`PhysMemory::page_addresses`], [`PhysMemory::contains`] and
+    /// [`PhysMemory::pages_with_bits`], [`PhysMemory::contains`] and
     /// [`PhysMemory::random_page`], which stay lazy.
     pub fn frames(&self) -> Vec<u64> {
         match &self.frames {
@@ -181,16 +181,36 @@ impl PhysMemory {
         let first = start.page_frame();
         let last = (end.raw() - 1) / PAGE_SIZE;
         match &self.frames {
-            Frames::Dense(frames) => (first..=last).all(|f| frames.binary_search(&f).is_ok()),
+            // The frame list is sorted and distinct, so the run starting at
+            // `first` is gap-free exactly when it reaches `last` in
+            // `last - first` steps.
+            Frames::Dense(frames) => frames
+                .binary_search(&first)
+                .is_ok_and(|i| frames.get(i + (last - first) as usize) == Some(&last)),
             Frames::Full => last < self.total_frames,
         }
     }
 
-    /// Iterates over the base physical addresses of all allocated pages.
-    pub fn page_addresses(&self) -> Box<dyn Iterator<Item = PhysAddr> + '_> {
+    /// Iterates, ascending, over the base addresses of the allocated pages
+    /// that have every bit of `mask` set (bits below the page shift are
+    /// ignored; a zero mask lists every page). A full pool steps from one
+    /// such page straight to the next instead of scanning the pages in
+    /// between.
+    pub fn pages_with_bits(&self, mask: u64) -> Box<dyn Iterator<Item = PhysAddr> + '_> {
+        let frame_mask = mask / PAGE_SIZE;
         match &self.frames {
-            Frames::Dense(frames) => Box::new(frames.iter().map(|&f| PhysAddr::new(f * PAGE_SIZE))),
-            Frames::Full => Box::new((0..self.total_frames).map(|f| PhysAddr::new(f * PAGE_SIZE))),
+            Frames::Dense(frames) => Box::new(
+                frames
+                    .iter()
+                    .filter(move |&&f| f & frame_mask == frame_mask)
+                    .map(|&f| PhysAddr::new(f * PAGE_SIZE)),
+            ),
+            Frames::Full => Box::new(
+                // The next frame above `f` holding every mask bit.
+                std::iter::successors(Some(frame_mask), move |&f| Some((f + 1) | frame_mask))
+                    .take_while(|&f| f < self.total_frames)
+                    .map(|f| PhysAddr::new(f * PAGE_SIZE)),
+            ),
         }
     }
 
@@ -288,8 +308,8 @@ mod tests {
             assert_eq!(lazy.random_page(&mut rng_a), dense.random_page(&mut rng_b));
         }
         assert_eq!(
-            lazy.page_addresses().take(5).collect::<Vec<_>>(),
-            dense.page_addresses().take(5).collect::<Vec<_>>()
+            lazy.pages_with_bits(0).take(5).collect::<Vec<_>>(),
+            dense.pages_with_bits(0).take(5).collect::<Vec<_>>()
         );
     }
 
@@ -303,6 +323,40 @@ mod tests {
         assert!(!mem.covers_range(PhysAddr::new(0), PhysAddr::new(4 * PAGE_SIZE)));
         // Empty range is trivially covered.
         assert!(mem.covers_range(PhysAddr::new(100), PhysAddr::new(100)));
+    }
+
+    #[test]
+    fn pages_with_bits_matches_a_filtered_page_scan() {
+        let full = PhysMemory::full(1 << 24);
+        let dense = PhysMemory::from_frames((0..4096).filter(|f| f % 3 != 0).collect(), 4096);
+        for mask in [0, 1 << 12, 0b1011 << 13, 0xF00 << 12, 1 << 23, 1 << 24] {
+            for mem in [&full, &dense] {
+                let scan: Vec<PhysAddr> = mem
+                    .frames()
+                    .into_iter()
+                    .map(|f| PhysAddr::new(f * PAGE_SIZE))
+                    .filter(|p| p.raw() & mask == mask)
+                    .collect();
+                let stepped: Vec<PhysAddr> = mem.pages_with_bits(mask).collect();
+                assert_eq!(stepped, scan, "mask {mask:#x} over {}", mem.policy());
+            }
+        }
+    }
+
+    #[test]
+    fn covers_range_matches_a_per_page_scan() {
+        let mem = PhysMemory::from_frames(vec![2, 3, 4, 5, 7, 8, 12, 13, 14, 15], 32);
+        for first in 0..20u64 {
+            for last in first..20 {
+                let (start, end) = (first * PAGE_SIZE + 5, last * PAGE_SIZE + 9);
+                let scan = (first..=last).all(|f| mem.contains(PhysAddr::new(f * PAGE_SIZE)));
+                assert_eq!(
+                    mem.covers_range(PhysAddr::new(start), PhysAddr::new(end)),
+                    scan,
+                    "frames {first}..={last}"
+                );
+            }
+        }
     }
 
     #[test]
