@@ -530,7 +530,7 @@ fn main() {
         eprintln!("mapreduce stores differ across worker topologies");
         std::process::exit(1);
     }
-    let mapreduce_board_fp = campaign::mapreduce::fingerprint(&mapreduce_boards[0]);
+    let mapreduce_board_fp = fnv1a64(mapreduce_boards[0].as_bytes());
     let mapreduce_store_mappings = mapreduce_stores[0]
         .lines()
         .filter(|l| l.starts_with("[mapping"))

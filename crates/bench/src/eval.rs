@@ -32,7 +32,8 @@ use std::fmt::Write as _;
 use campaign::{drain_pool, MeteredHooks, NoHooks, PoolConfig, PoolHooks};
 use dram_baselines::seaborn::SeabornConfig;
 use dram_baselines::{BaselineError, Drama, DramaConfig, Seaborn, Xiao, XiaoConfig};
-use dram_model::{GeneratedMachine, MachineClass, MachineGen, Microarch, RowRemap};
+use dram_model::fingerprint::fnv1a64;
+use dram_model::{mix_seed, GeneratedMachine, MachineClass, MachineGen, Microarch, RowRemap};
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
 use dramdig::engine::{EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{DomainKnowledge, DramDig, DramDigConfig};
@@ -165,13 +166,6 @@ impl Scenario {
     }
 }
 
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A fully expanded scenario grid.
 #[derive(Debug, Clone)]
 pub struct EvalGrid {
@@ -200,13 +194,13 @@ impl EvalGrid {
                     1 => NoiseKind::Default,
                     _ => NoiseKind::Trr,
                 };
-                let gen_seed = mix(seed, index as u64);
+                let gen_seed = mix_seed(seed, index as u64);
                 Scenario {
                     index,
                     machine: MachineGen::new(gen_seed).generate(class),
                     noise,
-                    sim_seed: mix(seed, 0x5151 ^ (index as u64) << 8),
-                    tool_seed: mix(seed, 0x7001 ^ (index as u64) << 8),
+                    sim_seed: mix_seed(seed, 0x5151 ^ (index as u64) << 8),
+                    tool_seed: mix_seed(seed, 0x7001 ^ (index as u64) << 8),
                 }
             })
             .collect();
@@ -530,18 +524,6 @@ impl EvalOutcome {
     }
 }
 
-/// FNV-1a 64-bit fingerprint of a rendered scoreboard — the compact hash
-/// the longitudinal history stores per run so byte-level drift in a
-/// re-rendered board is caught without committing every full artifact.
-pub fn board_fingerprint(scoreboard: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in scoreboard.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// Encodes a finished evaluation as one stable history line. The part
 /// before the first `|` is the run's identity key (grid, seed, observable
 /// channels); the rest records the gate verdict, the board fingerprint and
@@ -560,7 +542,7 @@ pub fn history_line(outcome: &EvalOutcome) -> String {
             "FAIL"
         },
         outcome.rows.len(),
-        board_fingerprint(&outcome.render_scoreboard()),
+        fnv1a64(outcome.render_scoreboard().as_bytes()),
     );
     for tool in ToolId::ALL {
         let c = outcome.counts(tool);
@@ -751,7 +733,7 @@ pub fn eval_drama_config(tool_seed: u64) -> DramaConfig {
 /// scenario (the channel never reuses the timing probe's machine, so the
 /// timing measurement stream is untouched by hammering).
 pub fn flip_sim_seed(scenario: &Scenario) -> u64 {
-    mix(scenario.sim_seed, 0xF11A)
+    mix_seed(scenario.sim_seed, 0xF11A)
 }
 
 fn score_dramdig(

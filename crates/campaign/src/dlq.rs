@@ -78,13 +78,7 @@ fn escape_reason(reason: &str) -> String {
 ///
 /// Returns [`CampaignError::Io`] when the write or rename fails.
 pub fn write_dlq(path: &Path, state: &JournalState) -> Result<(), CampaignError> {
-    let staged = path.with_extension("txt.tmp");
-    std::fs::write(&staged, render_dlq(state))
-        .and_then(|()| std::fs::rename(&staged, path))
-        .map_err(|error| CampaignError::Io {
-            path: path.to_path_buf(),
-            error,
-        })
+    crate::engine::write_atomic(path, &render_dlq(state))
 }
 
 /// Puts dead-lettered jobs back in play by appending

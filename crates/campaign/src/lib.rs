@@ -2,20 +2,32 @@
 //!
 //! The paper's headline result (Table II) is the same reverse-engineering
 //! pipeline re-run across nine machine configurations. This crate scales
-//! that workflow: a **campaign** is a spec (machines × seeds × profiles ×
-//! ablations) expanded into a job queue and drained by a worker pool, with
+//! that workflow with **one campaign engine** that every campaign goes
+//! through: a job set is drained by a worker pool, each worker journaling
+//! its attempts, and a reduce step turns the merged journal into the
+//! campaign's artifacts. Two job sets sit on top of it:
 //!
-//! * a **write-ahead journal** (`journal.jsonl`, hand-rolled JSONL) so an
-//!   interrupted campaign resumes from its last completed job,
-//! * **retry with a dead-letter list** for jobs whose recovery fails under
+//! * a Table-II **campaign** ([`runner`]): a spec (machines × seeds ×
+//!   profiles × ablations) drained in process by pool threads;
+//! * a generated-machine **grid** ([`mapreduce`]): `MachineGen` scenarios
+//!   drained over worker transports, including worker processes.
+//!
+//! Both get
+//!
+//! * a **write-ahead journal** (hand-rolled JSONL): each worker appends to
+//!   its own `journal-worker-NNN.jsonl` shard, and the reduce compacts the
+//!   shards into `journal.jsonl`, so an interrupted campaign resumes from
+//!   its last settled job;
+//! * **retry with a dead-letter queue** for jobs whose recovery fails under
 //!   measurement noise (each retry re-seeds the noise stream), and
 //! * a persistent **mapping store** (`store.txt`) that deduplicates
 //!   recovered XOR-function sets across jobs via canonical GF(2) basis
 //!   reduction and answers queries like *which machines share bank function
 //!   `(13, 16)`?*
 //!
-//! The store is a pure function of the journal, so a killed-and-resumed
-//! campaign produces byte-identical artifacts to an uninterrupted one.
+//! The store is a pure function of the merged journal, so a killed and
+//! resumed campaign produces byte-identical artifacts to an uninterrupted
+//! one.
 //!
 //! ```no_run
 //! use campaign::{
@@ -45,6 +57,7 @@
 #![deny(unsafe_code)]
 
 pub mod dlq;
+mod engine;
 pub mod journal;
 pub mod mapreduce;
 pub mod pool;
@@ -58,6 +71,7 @@ pub mod store;
 pub use telemetry::jsonl;
 
 pub use dlq::{dead_letters, render_dlq, requeue, write_dlq, DeadLetter};
+pub use engine::{compact_journals, read_merged_journal};
 pub use journal::{read_journal, Journal, JournalError, JournalRecord, JournalState, RequeueMode};
 pub use pool::{
     drain_pool, drain_pool_ctx, Attempt, Lease, MeteredHooks, NoHooks, PoolConfig, PoolHooks,

@@ -1,9 +1,10 @@
 //! Map/reduce campaigns over generated machine grids.
 //!
 //! The Table-II campaign ([`crate::runner`]) drains a fixed nine-machine
-//! spec through an in-process thread pool. This module scales the same
-//! journal/checkpoint/store machinery to a **coordinator/worker** shape fit
-//! for thousand-scenario sweeps of [`MachineGen`]:
+//! job set through in-process pool threads. A grid goes through the same
+//! campaign engine — drain, journal shards, reduce — with its jobs leased
+//! to **worker transports**, a shape fit for thousand-scenario sweeps of
+//! [`MachineGen`]:
 //!
 //! * a [`GridSpec`] shards a `MachineGen` stream into [`GenJob`] work units
 //!   (deterministic machine, class and seeds per index);
@@ -17,11 +18,10 @@
 //!   **same attempt** and a surviving worker steals it, resuming from the
 //!   job's last `PhaseCheckpoint` via the atomic checkpoint store — so the
 //!   finished report is byte-identical to an unkilled run;
-//! * the reduce side merges per-worker journals and per-worker
-//!   [`MappingStore`] shards (content-addressed dedup) and renders a
-//!   scoreboard that is a pure function of the merged journal state —
-//!   **byte-identical regardless of worker topology, kill points or steal
-//!   order**.
+//! * the reduce side merges the per-worker journals, rebuilds the
+//!   content-addressed [`MappingStore`] and renders a scoreboard, all pure
+//!   functions of the merged journal state — **byte-identical regardless of
+//!   worker topology, kill points or steal order**.
 //!
 //! Every artifact lives in one campaign directory: `grid.spec`,
 //! `journal.jsonl` (plus transient `journal-worker-NNN.jsonl` files compacted
@@ -31,21 +31,19 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
-use dram_model::{GeneratedMachine, MachineClass, MachineGen};
-use dram_sim::{PhysMemory, SimConfig, SimMachine};
+use dram_model::fingerprint::fnv1a64;
+use dram_model::{mix_seed, GeneratedMachine, MachineClass, MachineGen};
+use dram_sim::{PhysMemory, SimMachine};
 use dramdig::codec::{self, CodecError};
 use dramdig::driver::Phase;
-use dramdig::engine::{EngineOptions, NullObserver, PipelineEngine};
-use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, RecoveryReport};
-use mem_probe::SimProbe;
+use dramdig::{DomainKnowledge, DramDigConfig, RecoveryReport};
 
-use crate::journal::{
-    read_journal, read_journal_counted, Journal, JournalRecord, JournalState, JOURNAL_TORN_LINES,
-};
-use crate::pool::{self, Attempt, Lease, PoolHooks};
+use crate::engine;
+use crate::journal::JournalState;
+use crate::pool::{Attempt, PoolConfig};
 use crate::runner::{CampaignError, CampaignPaths, CampaignStatus};
 use crate::spec::Profile;
-use crate::store::{MappingStore, Provenance};
+use crate::store::MappingStore;
 
 /// The description of a generated-machine grid campaign: `scenarios` jobs
 /// sampled from [`MachineGen`] under one grid seed and one configuration
@@ -173,7 +171,7 @@ impl GenJob {
 
     /// The machine-generator seed of this job.
     pub fn gen_seed(&self) -> u64 {
-        mix(self.seed, u64::from(self.index))
+        mix_seed(self.seed, u64::from(self.index))
     }
 
     /// The generated machine under test.
@@ -186,7 +184,7 @@ impl GenJob {
     /// exactly like [`crate::spec::JobSpec::attempt_seed`].
     #[must_use]
     pub fn attempt_seed(&self, attempt: u32) -> u64 {
-        mix(self.seed, 0x7001 ^ (u64::from(self.index) << 8))
+        mix_seed(self.seed, 0x7001 ^ (u64::from(self.index) << 8))
             .wrapping_add(u64::from(attempt.saturating_sub(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
@@ -194,13 +192,6 @@ impl GenJob {
     pub fn index_from_id(id: &str) -> Option<u32> {
         id.strip_prefix('g')?.split('-').next()?.parse::<u32>().ok()
     }
-}
-
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The configuration grid jobs run with: the job profile's constructor with
@@ -214,12 +205,10 @@ pub fn grid_config(profile: Profile) -> DramDigConfig {
     }
 }
 
-/// Runs one grid job with phase-granular resume semantics, mirroring
-/// [`crate::runner::run_job_sim_checkpointed_with`]: a surviving checkpoint
-/// means an earlier attempt was killed mid-pipeline, so the run continues
-/// *that* attempt under its stored configuration (byte-identical report),
-/// and a genuine failure wipes the directory so the retry re-measures under
-/// a fresh attempt-derived seed.
+/// Runs one grid job through the campaign engine's phase-granular resume:
+/// a surviving checkpoint continues the killed attempt under its stored
+/// configuration (byte-identical report), and a genuine failure wipes the
+/// directory so the retry re-measures under a fresh attempt-derived seed.
 ///
 /// # Errors
 ///
@@ -239,33 +228,14 @@ fn run_gen_job_engine(
     stop_after: Option<Phase>,
 ) -> Result<RecoveryReport, String> {
     let machine = job.machine();
-    let knowledge = DomainKnowledge::for_generated(&machine);
-    let mut config = grid_config(job.profile).with_seed(job.attempt_seed(attempt));
-    let mut options = EngineOptions::default();
-    if let Some(dir) = checkpoint {
-        if let Ok(Some(stored)) = CheckpointStore::new(dir).load_config() {
-            config = stored;
-        }
-        options = options.with_checkpoint(dir);
-    }
-    if let Some(phase) = stop_after {
-        options = options.with_stop_after(phase);
-    }
-    let sim = SimMachine::from_generated(&machine, SimConfig::default().with_seed(config.rng_seed));
-    let mut probe = SimProbe::new(sim, PhysMemory::full(machine.system.capacity_bytes));
-    let result =
-        PipelineEngine::new(knowledge, config).run(&mut probe, &options, &mut NullObserver);
-    match result {
-        Ok(run) => Ok(RecoveryReport::from(&run)),
-        Err(e) => {
-            if let Some(dir) = checkpoint {
-                if !matches!(e, DramDigError::Interrupted { .. }) {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-            }
-            Err(e.to_string())
-        }
-    }
+    engine::run_engine(
+        DomainKnowledge::for_generated(&machine),
+        |sim| SimMachine::from_generated(&machine, sim),
+        PhysMemory::full(machine.system.capacity_bytes),
+        grid_config(job.profile).with_seed(job.attempt_seed(attempt)),
+        checkpoint,
+        stop_after,
+    )
 }
 
 /// Runs the first phases of a grid job and stops at the partition boundary,
@@ -587,22 +557,6 @@ impl WorkerTransport for SimTransport {
 // The coordinator (map) and the merge (reduce).
 // ---------------------------------------------------------------------------
 
-/// Per-worker context owned by one coordinator pool thread: the transport
-/// and the worker's own write-ahead journal shard.
-struct WorkerCtx {
-    transport: Box<dyn WorkerTransport>,
-    journal: Journal,
-}
-
-/// Metrics-only pool hooks for the mapreduce drain (the journaling happens
-/// per worker, in the run closure, so each shard is written without holding
-/// the pool lock).
-struct MapHooks;
-
-impl PoolHooks<GenJob, RecoveryReport> for MapHooks {
-    type Error = CampaignError;
-}
-
 /// What one [`run_mapreduce`] invocation did, plus the grid-wide state after
 /// its reduce step.
 #[derive(Debug)]
@@ -638,294 +592,64 @@ pub fn run_mapreduce(
     transports: Vec<Box<dyn WorkerTransport>>,
     metrics: Option<&mut telemetry::Registry>,
 ) -> Result<MapReduceOutcome, CampaignError> {
-    let io_err = |path: PathBuf| move |error| CampaignError::Io { path, error };
-    std::fs::create_dir_all(paths.checkpoints()).map_err(io_err(paths.checkpoints()))?;
-
-    let (records, torn) = read_merged_journal_counted(paths)?;
-    let prior = JournalState::replay(&records);
-    let queue: Vec<Lease<GenJob>> = spec
-        .jobs()
-        .into_iter()
-        .filter(|job| {
-            let id = job.id();
-            !prior.completed.contains_key(&id) && !prior.dead.contains_key(&id)
-        })
-        .map(|job| {
-            let attempt = prior.next_attempt(&job.id());
-            Lease::new(job, attempt)
-        })
-        .collect();
-
-    let contexts: Vec<WorkerCtx> = transports
-        .into_iter()
-        .enumerate()
-        .map(|(i, transport)| {
-            Ok(WorkerCtx {
-                transport,
-                journal: Journal::open_append(&worker_journal_path(paths, i))?,
-            })
-        })
-        .collect::<Result<_, CampaignError>>()?;
-
-    let pool_config = pool::PoolConfig {
-        workers: contexts.len(),
+    let pool = PoolConfig {
+        workers: transports.len(),
         max_retries: spec.max_retries,
         max_completions: None,
     };
-    let max_retries = spec.max_retries;
-    let run = |ctx: &mut WorkerCtx,
-               job: &GenJob,
-               attempt: u32|
-     -> Result<Attempt<RecoveryReport>, CampaignError> {
-        let id = job.id();
-        let checkpoint = paths.checkpoints().join(&id);
-        // Write-ahead into this worker's shard: the lease and its
-        // checkpoint path are durable before the transport sees the job.
-        ctx.journal.append(&JournalRecord::Started {
-            job: id.clone(),
-            attempt,
-        })?;
-        ctx.journal.append(&JournalRecord::Checkpoint {
-            job: id.clone(),
-            path: checkpoint.display().to_string(),
-        })?;
-        let request = WorkRequest {
-            job: job.clone(),
-            attempt,
-            checkpoint: Some(checkpoint.clone()),
-        };
-        match ctx.transport.run(&request) {
-            Err(WorkerLost(reason)) => {
-                // No outcome record: the merged journal shows a started
-                // attempt without a settle, and the checkpoint survives for
-                // whichever worker steals the lease.
-                Ok(Attempt::Interrupted(reason))
+    let jobs = spec.jobs().into_iter().map(|job| (job.id(), job)).collect();
+    let drained = engine::drain(
+        paths,
+        jobs,
+        &pool,
+        true,
+        transports,
+        metrics,
+        |transport, job, attempt, checkpoint| {
+            let request = WorkRequest {
+                job: job.clone(),
+                attempt,
+                checkpoint: checkpoint.map(Path::to_path_buf),
+            };
+            match transport.run(&request) {
+                Err(WorkerLost(reason)) => Attempt::Interrupted(reason),
+                Ok(Ok(report)) => Attempt::Completed(report),
+                Ok(Err(reason)) => Attempt::Failed(reason),
             }
-            Ok(Ok(report)) => {
-                ctx.journal.append(&JournalRecord::Completed {
-                    job: id,
-                    attempt,
-                    report: report.clone(),
-                })?;
-                let _ = std::fs::remove_dir_all(&checkpoint);
-                Ok(Attempt::Completed(report))
-            }
-            Ok(Err(reason)) => {
-                if attempt > max_retries {
-                    ctx.journal.append(&JournalRecord::Dead {
-                        job: id,
-                        attempts: attempt,
-                        reason: reason.clone(),
-                    })?;
-                    let _ = std::fs::remove_dir_all(&checkpoint);
-                } else {
-                    ctx.journal.append(&JournalRecord::Failed {
-                        job: id,
-                        attempt,
-                        reason: reason.clone(),
-                    })?;
-                }
-                Ok(Attempt::Failed(reason))
-            }
-        }
-    };
-
-    let drained = match metrics {
-        Some(registry) => {
-            registry.counter_add(JOURNAL_TORN_LINES, torn);
-            let depth = queue.len();
-            let mut metered = pool::MeteredHooks::new(MapHooks, registry, depth);
-            pool::drain_pool_ctx(queue, &pool_config, &mut metered, contexts, run)?
-        }
-        None => pool::drain_pool_ctx(queue, &pool_config, &mut MapHooks, contexts, run)?,
-    };
-    let completed_now = drained.completed.len();
-
-    let (state, store, scoreboard) = reduce(spec, paths)?;
+        },
+    )?;
+    let (state, store) = engine::reduce(paths, grid_label)?;
+    let scoreboard = render_grid_scoreboard(spec, &state, &store);
+    engine::write_atomic(&paths.dir().join("SCOREBOARD.txt"), &scoreboard)?;
     Ok(MapReduceOutcome {
-        completed_now,
+        completed_now: drained.completed.len(),
         state,
         store,
         scoreboard,
     })
 }
 
-/// The reduce step: merge worker store shards, verify them against a replay
-/// of the merged journal, compact the worker journals into `journal.jsonl`,
-/// and rewrite the derived artifacts.
-fn reduce(
-    spec: &GridSpec,
-    paths: &CampaignPaths,
-) -> Result<(JournalState, MappingStore, String), CampaignError> {
-    // Per-worker store shards: each worker's completions, content-addressed.
-    let mut merged_store =
-        grid_store_from_state(&JournalState::replay(&read_journal(&paths.journal())?));
-    for path in worker_journal_paths(paths)? {
-        let records = read_journal(&path)?;
-        let shard = grid_store_from_state(&JournalState::replay(&records));
-        let shard_path = worker_store_path(paths, &path);
-        std::fs::write(&shard_path, shard.encode()).map_err(|error| CampaignError::Io {
-            path: shard_path,
-            error,
-        })?;
-        merged_store.merge(shard);
-    }
-
-    // The merged shards must agree byte-for-byte with a store rebuilt from
-    // the merged journal — the reduce-side differential check.
-    let merged_state = JournalState::replay(&read_merged_journal(paths)?);
-    let rebuilt = grid_store_from_state(&merged_state);
-    if merged_store.encode() != rebuilt.encode() {
-        return Err(CampaignError::Codec(
-            "mapreduce reduce: merged store shards diverge from journal replay".into(),
-        ));
-    }
-
-    compact_journals(paths)?;
-
-    let staged = paths.store().with_extension("txt.tmp");
-    std::fs::write(&staged, merged_store.encode())
-        .and_then(|()| std::fs::rename(&staged, paths.store()))
-        .map_err(|error| CampaignError::Io {
-            path: paths.store(),
-            error,
-        })?;
-    crate::dlq::write_dlq(&paths.dlq(), &merged_state)?;
-    let scoreboard = render_grid_scoreboard(spec, &merged_state, &merged_store);
-    let board_path = paths.dir().join("SCOREBOARD.txt");
-    let staged = board_path.with_extension("txt.tmp");
-    std::fs::write(&staged, &scoreboard)
-        .and_then(|()| std::fs::rename(&staged, &board_path))
-        .map_err(|error| CampaignError::Io {
-            path: board_path,
-            error,
-        })?;
-    Ok((merged_state, merged_store, scoreboard))
-}
-
-fn worker_journal_path(paths: &CampaignPaths, index: usize) -> PathBuf {
-    paths.dir().join(format!("journal-worker-{index:03}.jsonl"))
-}
-
-fn worker_store_path(paths: &CampaignPaths, journal: &Path) -> PathBuf {
-    let name = journal
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("journal-worker");
-    paths
-        .dir()
-        .join(format!("store-{}.txt", name.trim_start_matches("journal-")))
-}
-
-/// Every worker journal shard currently on disk, in file-name order.
-fn worker_journal_paths(paths: &CampaignPaths) -> Result<Vec<PathBuf>, CampaignError> {
-    let dir = paths.dir();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(error) => {
-            return Err(CampaignError::Io {
-                path: dir.to_path_buf(),
-                error,
-            })
-        }
-    };
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|error| CampaignError::Io {
-            path: dir.to_path_buf(),
-            error,
-        })?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("journal-worker-") && name.ends_with(".jsonl") {
-            found.push(entry.path());
-        }
-    }
-    found.sort();
-    Ok(found)
-}
-
-/// The full journal of a grid campaign: the compacted top-level journal
-/// followed by any per-worker shards not yet compacted (e.g. after a killed
-/// coordinator). Top-level records are chronologically oldest, so DLQ
-/// requeue records always fold after the dead letters they revive.
-pub fn read_merged_journal(paths: &CampaignPaths) -> Result<Vec<JournalRecord>, CampaignError> {
-    Ok(read_merged_journal_counted(paths)?.0)
-}
-
-/// [`read_merged_journal`] plus the torn final lines dropped across all the
-/// journal files.
-fn read_merged_journal_counted(
-    paths: &CampaignPaths,
-) -> Result<(Vec<JournalRecord>, u64), CampaignError> {
-    let (mut records, mut torn) = read_journal_counted(&paths.journal())?;
-    for path in worker_journal_paths(paths)? {
-        let (shard, shard_torn) = read_journal_counted(&path)?;
-        records.extend(shard);
-        torn += shard_torn;
-    }
-    Ok((records, torn))
-}
-
-/// Folds every worker journal shard into the top-level `journal.jsonl` and
-/// removes the shard files. Idempotent under a kill at any point: a shard
-/// deleted only after its records are flushed, and replay tolerates the
-/// duplicates a mid-compaction kill can leave.
-pub fn compact_journals(paths: &CampaignPaths) -> Result<(), CampaignError> {
-    let shards = worker_journal_paths(paths)?;
-    if shards.is_empty() {
-        return Ok(());
-    }
-    let mut journal = Journal::open_append(&paths.journal())?;
-    for shard in shards {
-        for record in read_journal(&shard)? {
-            journal.append(&record)?;
-        }
-        std::fs::remove_file(&shard).map_err(|error| CampaignError::Io {
-            path: shard.clone(),
-            error,
-        })?;
-    }
-    Ok(())
+/// The store provenance label of a grid job id: the generated machine's
+/// class. Ids that do not parse fall back to the id itself.
+fn grid_label(job_id: &str) -> String {
+    GenJob::index_from_id(job_id).map_or_else(
+        || job_id.to_string(),
+        |index| {
+            let probe = GenJob {
+                index,
+                seed: 0,
+                profile: Profile::Fast,
+            };
+            format!("gen-{}", probe.class().as_str())
+        },
+    )
 }
 
 /// Rebuilds the mapping store from a merged grid journal state: every
 /// completed job's mapping, content-addressed, with the generated machine's
 /// class as its provenance label.
 pub fn grid_store_from_state(state: &JournalState) -> MappingStore {
-    let mut store = MappingStore::new();
-    for (job_id, report) in &state.completed {
-        let machine = GenJob::index_from_id(job_id)
-            .map(|index| {
-                let probe = GenJob {
-                    index,
-                    seed: 0,
-                    profile: Profile::Fast,
-                };
-                format!("gen-{}", probe.class().as_str())
-            })
-            .unwrap_or_else(|| job_id.clone());
-        store.insert(
-            &report.mapping,
-            Provenance {
-                machine,
-                job: job_id.clone(),
-            },
-        );
-    }
-    store
-}
-
-/// FNV-1a over a rendered artifact (the scoreboard fingerprint recorded in
-/// `SCOREBOARD_HISTORY.txt`).
-pub fn fingerprint(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    engine::rebuild_store(state, grid_label)
 }
 
 fn escape_line(text: &str) -> String {
@@ -959,7 +683,7 @@ pub fn render_grid_scoreboard(
                 body,
                 "{id} [{}] ok report=fnv1a:{:016x}",
                 job.class().as_str(),
-                fingerprint(&report.encode()),
+                fnv1a64(report.encode().as_bytes()),
             );
         } else if let Some(reason) = state.dead.get(&id) {
             dead += 1;
@@ -984,7 +708,11 @@ pub fn render_grid_scoreboard(
     let _ = writeln!(out, "dead = {dead}");
     let _ = writeln!(out, "pending = {pending}");
     let _ = writeln!(out, "distinct_mappings = {}", store.len());
-    let _ = writeln!(out, "store = fnv1a:{:016x}", fingerprint(&store.encode()));
+    let _ = writeln!(
+        out,
+        "store = fnv1a:{:016x}",
+        fnv1a64(store.encode().as_bytes())
+    );
     out.push_str(&body);
     out
 }
@@ -1001,7 +729,7 @@ pub fn grid_history_line(spec: &GridSpec, outcome: &MapReduceOutcome) -> String 
         spec.scenarios,
         spec.seed,
         spec.profile,
-        fingerprint(&outcome.scoreboard),
+        fnv1a64(outcome.scoreboard.as_bytes()),
         outcome.state.completed.len(),
         outcome.state.dead.len(),
         pending,
@@ -1018,32 +746,15 @@ pub fn grid_status(
     spec: &GridSpec,
     paths: &CampaignPaths,
 ) -> Result<CampaignStatus, CampaignError> {
-    let state = JournalState::replay(&read_merged_journal(paths)?);
-    let store = grid_store_from_state(&state);
-    let mut pending = Vec::new();
-    for job in spec.jobs() {
-        let id = job.id();
-        if !state.completed.contains_key(&id) && !state.dead.contains_key(&id) {
-            let attempt = state.next_attempt(&id);
-            pending.push((id, attempt));
-        }
-    }
-    Ok(CampaignStatus {
-        total_jobs: spec.scenarios as usize,
-        completed: state.completed.len(),
-        dead: state
-            .dead
-            .iter()
-            .map(|(job, reason)| (job.clone(), reason.clone()))
-            .collect(),
-        pending,
-        distinct_mappings: store.len(),
-    })
+    let ids = spec.jobs().iter().map(GenJob::id).collect();
+    engine::status(paths, ids, grid_label)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{read_merged_journal, worker_journal_paths};
+    use crate::journal::{read_journal_counted, JournalRecord, JOURNAL_TORN_LINES};
 
     fn temp_paths(tag: &str) -> CampaignPaths {
         let dir =

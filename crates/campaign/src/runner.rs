@@ -1,32 +1,28 @@
-//! The campaign orchestrator: a job queue fanned out over a worker pool.
+//! The Table-II campaign: a [`CampaignSpec`] job set drained in process.
 //!
-//! [`run_campaign`] replays the journal to find the resume frontier, feeds
-//! every still-pending job into the generic [`crate::pool`] and injects the
-//! campaign-specific behaviour through its hooks: each state transition is
-//! journaled *before* the pool moves on (write-ahead), failed jobs are
+//! [`run_campaign`] hands the spec's jobs to the campaign engine
+//! (`engine.rs`), the same drain and reduce a map/reduce grid goes
+//! through, with one pool thread per worker and the caller's `run_job` as
+//! the runner. Every transition is journaled write-ahead, failed jobs are
 //! retried with a fresh attempt seed up to the spec's retry budget and then
-//! dead-lettered, and the mapping store is rebuilt from the journal after
-//! every invocation — so the store is a pure function of the journal and an
-//! interrupted campaign resumed later converges on exactly the artifacts of
-//! an uninterrupted one.
+//! dead-lettered, and the mapping store is rebuilt from the merged journal
+//! after every invocation — so an interrupted campaign resumed later
+//! converges on exactly the artifacts of an uninterrupted one.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use dram_model::MachineSetting;
-use dram_sim::{PhysMemory, SimConfig, SimMachine};
+use dram_sim::{PhysMemory, SimMachine};
 use dramdig::driver::PhaseCosts;
-use dramdig::engine::{EngineOptions, NullObserver, PipelineEngine};
-use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, RecoveryReport};
-use mem_probe::SimProbe;
+use dramdig::{DomainKnowledge, DramDigConfig, RecoveryReport};
 
-use crate::journal::{
-    read_journal, read_journal_counted, Journal, JournalError, JournalRecord, JournalState,
-    JOURNAL_TORN_LINES,
-};
-use crate::pool::{self, PoolHooks, Verdict};
+use crate::engine;
+use crate::journal::{JournalError, JournalState};
+use crate::pool::{Attempt, PoolConfig};
 use crate::spec::{Ablation, CampaignSpec, JobSpec};
-use crate::store::{MappingStore, Provenance};
+use crate::store::MappingStore;
 
 /// Filesystem layout of one campaign: a directory holding the spec, the
 /// journal and the store.
@@ -50,6 +46,12 @@ impl CampaignPaths {
     /// `campaign resume`.
     pub fn spec(&self) -> PathBuf {
         self.dir.join("campaign.spec")
+    }
+
+    /// The persisted grid spec of a map/reduce campaign, written by
+    /// `campaign mapreduce` in place of [`CampaignPaths::spec`].
+    pub fn grid_spec(&self) -> PathBuf {
+        self.dir.join("grid.spec")
     }
 
     /// The write-ahead journal.
@@ -306,112 +308,20 @@ pub fn run_job_sim_checkpointed_with(
         Some(Ablation::Empirical) => knowledge.without_empirical(),
         None => knowledge,
     };
-    let mut config = base_config.with_seed(job.attempt_seed(attempt));
-    let mut options = EngineOptions::default();
-    if let Some(dir) = checkpoint {
-        // A surviving checkpoint means an earlier attempt was killed
-        // mid-pipeline: continue *that* attempt (its recorded configuration
-        // carries the seed), so the finished report is byte-identical to
-        // what the killed run would have produced.
-        if let Ok(Some(stored)) = CheckpointStore::new(dir).load_config() {
-            config = stored;
-        }
-        options = options.with_checkpoint(dir);
-    }
-    let machine =
-        SimMachine::from_setting(&setting, SimConfig::default().with_seed(config.rng_seed));
-    let mut probe = SimProbe::new(machine, PhysMemory::full(setting.system.capacity_bytes));
-    let result =
-        PipelineEngine::new(knowledge, config).run(&mut probe, &options, &mut NullObserver);
-    match result {
-        Ok(run) => Ok(RecoveryReport::from(&run)),
-        Err(e) => {
-            if let Some(dir) = checkpoint {
-                if !matches!(e, DramDigError::Interrupted { .. }) {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
-            }
-            Err(e.to_string())
-        }
-    }
-}
-
-/// One queued unit of work: the job plus the phase checkpoint directory
-/// handed to the runner (if any). The attempt number travels separately
-/// through the generic pool.
-type QueuedJob = (JobSpec, Option<PathBuf>);
-
-/// The campaign-specific behaviour injected into the generic worker pool:
-/// write-ahead journaling of every transition, and checkpoint-directory
-/// cleanup once a job's outcome is durable.
-struct JournalHooks<'a> {
-    journal: &'a mut Journal,
-}
-
-impl PoolHooks<QueuedJob, RecoveryReport> for JournalHooks<'_> {
-    type Error = JournalError;
-
-    fn on_dequeued(
-        &mut self,
-        (job, checkpoint): &QueuedJob,
-        attempt: u32,
-    ) -> Result<(), JournalError> {
-        self.journal.append(&JournalRecord::Started {
-            job: job.id(),
-            attempt,
-        })?;
-        // Write-ahead: record where the job's phase artifacts will live
-        // before the runner sees the path, so a kill at any point leaves a
-        // resumable trail.
-        if let Some(dir) = checkpoint {
-            self.journal.append(&JournalRecord::Checkpoint {
-                job: job.id(),
-                path: dir.to_string_lossy().into_owned(),
-            })?;
-        }
-        Ok(())
-    }
-
-    fn on_settled(
-        &mut self,
-        (job, checkpoint): &QueuedJob,
-        attempt: u32,
-        result: &Result<RecoveryReport, String>,
-        verdict: Verdict,
-    ) -> Result<(), JournalError> {
-        let record = match (result, verdict) {
-            (Ok(report), _) => JournalRecord::Completed {
-                job: job.id(),
-                attempt,
-                report: report.clone(),
-            },
-            (Err(reason), Verdict::Dead) => JournalRecord::Dead {
-                job: job.id(),
-                attempts: attempt,
-                reason: reason.clone(),
-            },
-            (Err(reason), _) => JournalRecord::Failed {
-                job: job.id(),
-                attempt,
-                reason: reason.clone(),
-            },
-        };
-        self.journal.append(&record)?;
-        // The journal now owns the durable outcome; the phase artifacts of a
-        // completed or dead job have served their purpose.
-        if matches!(verdict, Verdict::Completed | Verdict::Dead) {
-            if let Some(dir) = checkpoint {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-        Ok(())
-    }
+    engine::run_engine(
+        knowledge,
+        |sim| SimMachine::from_setting(&setting, sim),
+        PhysMemory::full(setting.system.capacity_bytes),
+        base_config.with_seed(job.attempt_seed(attempt)),
+        checkpoint,
+        None,
+    )
 }
 
 /// Runs (or resumes) a campaign: drains every pending job of `spec` through
 /// `run_job` on a pool of `options.workers` threads, journaling every
-/// transition into `paths.journal()` and rewriting `paths.store()` from the
-/// resulting journal.
+/// transition into per-worker shards, then compacts them into
+/// `paths.journal()` and rewrites `paths.store()` from the merged journal.
 ///
 /// `run_job` receives `(job, attempt, checkpoint_dir)`; the directory is
 /// `Some` when [`CampaignOptions::phase_checkpoints`] is enabled or a prior
@@ -437,7 +347,7 @@ where
 }
 
 /// [`run_campaign`] with pool telemetry: when `metrics` is given, the
-/// journal hooks are wrapped in [`pool::MeteredHooks`] so queue depth and
+/// pool is metered through [`crate::pool::MeteredHooks`] so queue depth and
 /// dequeue/completion/retry/dead-letter counters land in the registry. The
 /// counters are order-independent totals, so the snapshot is deterministic
 /// at any worker count.
@@ -451,111 +361,65 @@ pub fn run_campaign_with_metrics<R>(
 where
     R: Fn(&JobSpec, u32, Option<&Path>) -> Result<RecoveryReport, String> + Sync,
 {
-    std::fs::create_dir_all(paths.dir()).map_err(|error| CampaignError::Io {
-        path: paths.dir().to_path_buf(),
-        error,
-    })?;
-    let (records, torn) = read_journal_counted(&paths.journal())?;
-    let prior = JournalState::replay(&records);
-    let queue: Vec<(QueuedJob, u32)> = prior
-        .pending(spec)
-        .into_iter()
-        .map(|job| {
-            let attempt = prior.next_attempt(&job.id());
-            let checkpoint = if options.phase_checkpoints {
-                Some(paths.job_checkpoint(&job))
-            } else {
-                // Checkpoint paths journaled by an earlier invocation keep
-                // working even when this resume forgot the option.
-                prior.checkpoints.get(&job.id()).map(PathBuf::from)
-            };
-            ((job, checkpoint), attempt)
-        })
-        .collect();
-
-    let mut journal = Journal::open_append(&paths.journal())?;
-    let mut hooks = JournalHooks {
-        journal: &mut journal,
-    };
-    let pool_config = pool::PoolConfig {
-        workers: options.workers,
+    let pool = PoolConfig {
+        workers: options.workers.max(1),
         max_retries: spec.max_retries,
         max_completions: options.max_completions,
     };
-    let worker =
-        |(job, checkpoint): &QueuedJob, attempt: u32| run_job(job, attempt, checkpoint.as_deref());
-    let drained = match metrics {
-        Some(registry) => {
-            registry.counter_add(JOURNAL_TORN_LINES, torn);
-            let depth = queue.len();
-            let mut metered = pool::MeteredHooks::new(hooks, registry, depth);
-            pool::drain_pool(queue, &pool_config, &mut metered, worker)?
-        }
-        None => pool::drain_pool(queue, &pool_config, &mut hooks, worker)?,
-    };
-    let completed: Vec<JobOutcome> = drained
-        .completed
-        .into_iter()
-        .map(|((job, _), attempt, report)| JobOutcome {
-            job,
-            attempt,
-            report,
-        })
-        .collect();
-    let dead: Vec<(JobSpec, String)> = drained
-        .dead
-        .into_iter()
-        .map(|((job, _), reason)| (job, reason))
-        .collect();
-
-    // The store is a pure function of the journal: rebuild and persist it.
-    // Write-then-rename so a kill mid-write can never leave a truncated
-    // store.txt behind (the journal is the durable record either way).
-    let journal_state = JournalState::replay(&read_journal(&paths.journal())?);
-    let store = store_from_state(&journal_state, spec);
-    let staged = paths.store().with_extension("txt.tmp");
-    std::fs::write(&staged, store.encode())
-        .and_then(|()| std::fs::rename(&staged, paths.store()))
-        .map_err(|error| CampaignError::Io {
-            path: paths.store(),
-            error,
-        })?;
-    // The DLQ artifact is a pure function of the journal too.
-    crate::dlq::write_dlq(&paths.dlq(), &journal_state)?;
-    let totals = journal_state
+    let jobs = spec.jobs().into_iter().map(|job| (job.id(), job)).collect();
+    let drained = engine::drain(
+        paths,
+        jobs,
+        &pool,
+        options.phase_checkpoints,
+        vec![(); pool.workers],
+        metrics,
+        |(), job, attempt, checkpoint| match run_job(job, attempt, checkpoint) {
+            Ok(report) => Attempt::Completed(report),
+            Err(reason) => Attempt::Failed(reason),
+        },
+    )?;
+    let (state, store) = engine::reduce(paths, table_label(spec))?;
+    let totals = state
         .completed
         .values()
         .fold(PhaseCosts::default(), |acc, r| acc.merge(r.total));
-
     Ok(CampaignOutcome {
-        completed,
-        dead,
-        state: journal_state,
+        completed: drained
+            .completed
+            .into_iter()
+            .map(|(queued, attempt, report)| JobOutcome {
+                job: queued.job,
+                attempt,
+                report,
+            })
+            .collect(),
+        dead: drained
+            .dead
+            .into_iter()
+            .map(|(queued, reason)| (queued.job, reason))
+            .collect(),
+        state,
         store,
         totals,
     })
+}
+
+/// The store provenance label of a Table-II job id: the machine its spec
+/// job names. Ids from older specs fall back to the id itself.
+fn table_label(spec: &CampaignSpec) -> impl Fn(&str) -> String {
+    let jobs: BTreeMap<String, JobSpec> = spec.jobs().into_iter().map(|j| (j.id(), j)).collect();
+    move |id| {
+        jobs.get(id)
+            .map_or_else(|| id.to_string(), JobSpec::machine_label)
+    }
 }
 
 /// Rebuilds the mapping store from a journal state. Job ids found in the
 /// journal are resolved against `spec` for their machine label; ids from
 /// older specs fall back to the id itself.
 pub fn store_from_state(state: &JournalState, spec: &CampaignSpec) -> MappingStore {
-    let jobs: std::collections::BTreeMap<String, JobSpec> =
-        spec.jobs().into_iter().map(|j| (j.id(), j)).collect();
-    let mut store = MappingStore::new();
-    for (job_id, report) in &state.completed {
-        let machine = jobs
-            .get(job_id)
-            .map_or_else(|| job_id.clone(), JobSpec::machine_label);
-        store.insert(
-            &report.mapping,
-            Provenance {
-                machine,
-                job: job_id.clone(),
-            },
-        );
-    }
-    store
+    engine::rebuild_store(state, table_label(spec))
 }
 
 /// A point-in-time summary of campaign progress.
@@ -577,37 +441,19 @@ pub struct CampaignStatus {
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError`] when the journal cannot be read.
+/// Returns [`CampaignError`] when the journals cannot be read.
 pub fn campaign_status(
     spec: &CampaignSpec,
     paths: &CampaignPaths,
 ) -> Result<CampaignStatus, CampaignError> {
-    let state = JournalState::replay(&read_journal(&paths.journal())?);
-    let store = store_from_state(&state, spec);
-    Ok(CampaignStatus {
-        total_jobs: spec.jobs().len(),
-        completed: state.completed.len(),
-        dead: state
-            .dead
-            .iter()
-            .map(|(job, reason)| (job.clone(), reason.clone()))
-            .collect(),
-        pending: state
-            .pending(spec)
-            .iter()
-            .map(|job| {
-                let id = job.id();
-                let attempt = state.next_attempt(&id);
-                (id, attempt)
-            })
-            .collect(),
-        distinct_mappings: store.len(),
-    })
+    let ids = spec.jobs().iter().map(JobSpec::id).collect();
+    engine::status(paths, ids, table_label(spec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{Journal, JournalRecord};
     use crate::spec::Profile;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -778,6 +624,61 @@ mod tests {
             vec!["No.6", "No.9"]
         );
         std::fs::remove_dir_all(paths.dir()).unwrap();
+    }
+
+    #[test]
+    fn a_job_settled_in_a_leftover_worker_shard_is_not_rerun() {
+        // A coordinator killed before its reduce leaves a worker shard that
+        // settles a job: the next run must honour the shard, compact it away
+        // and converge on an uninterrupted run's artifacts.
+        let spec = CampaignSpec::new(vec![4, 7], 1, Profile::Fast);
+        let straight = temp_paths("shard-straight");
+        run_campaign(&spec, &straight, &CampaignOptions::serial(), |job, _, _| {
+            Ok(fake_report(job.machine))
+        })
+        .unwrap();
+
+        let paths = temp_paths("shard-resume");
+        std::fs::create_dir_all(paths.dir()).unwrap();
+        let settled = spec.jobs().remove(0);
+        let mut shard =
+            Journal::open_append(&paths.dir().join("journal-worker-000.jsonl")).unwrap();
+        shard
+            .append(&JournalRecord::Started {
+                job: settled.id(),
+                attempt: 1,
+            })
+            .unwrap();
+        shard
+            .append(&JournalRecord::Completed {
+                job: settled.id(),
+                attempt: 1,
+                report: fake_report(settled.machine),
+            })
+            .unwrap();
+        drop(shard);
+
+        let outcome = run_campaign(&spec, &paths, &CampaignOptions::serial(), |job, _, _| {
+            assert_ne!(job.id(), settled.id(), "a job settled in a shard re-ran");
+            Ok(fake_report(job.machine))
+        })
+        .unwrap();
+        assert_eq!(outcome.completed.len(), 1);
+        let leftover = std::fs::read_dir(paths.dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .find(|name| name.starts_with("journal-worker-"));
+        assert_eq!(leftover, None, "shards compact into journal.jsonl");
+        assert_eq!(
+            std::fs::read(paths.store()).unwrap(),
+            std::fs::read(straight.store()).unwrap()
+        );
+        assert_eq!(
+            campaign_status(&spec, &paths).unwrap(),
+            campaign_status(&spec, &straight).unwrap()
+        );
+        std::fs::remove_dir_all(paths.dir()).unwrap();
+        std::fs::remove_dir_all(straight.dir()).unwrap();
     }
 
     #[test]

@@ -1742,7 +1742,7 @@ fn execute_campaign(action: &CampaignAction) -> Result<String, CliError> {
             let paths = CampaignPaths::new(dir);
             // A mapreduce grid directory holds `grid.spec` instead of
             // `campaign.spec`; both summarize into the same status.
-            let status = if grid_spec_path(&paths).exists() {
+            let status = if paths.grid_spec().exists() {
                 campaign::mapreduce::grid_status(&read_grid_spec(&paths)?, &paths)
             } else {
                 campaign_status(&read_campaign_spec(&paths)?, &paths)
@@ -1834,14 +1834,9 @@ fn execute_campaign(action: &CampaignAction) -> Result<String, CliError> {
     }
 }
 
-/// Where a mapreduce campaign directory persists its grid spec.
-fn grid_spec_path(paths: &CampaignPaths) -> std::path::PathBuf {
-    paths.dir().join("grid.spec")
-}
-
 /// Reads the grid spec persisted in a mapreduce campaign directory.
 fn read_grid_spec(paths: &CampaignPaths) -> Result<campaign::mapreduce::GridSpec, CliError> {
-    let path = grid_spec_path(paths);
+    let path = paths.grid_spec();
     let text = std::fs::read_to_string(&path).map_err(|e| {
         CliError::Tool(format!(
             "cannot read {} ({e}); was this grid started with `campaign mapreduce`?",
@@ -1866,7 +1861,7 @@ fn execute_mapreduce(
     use campaign::mapreduce::{ProcessTransport, SimTransport, WorkerTransport};
 
     let paths = CampaignPaths::new(dir);
-    let spec_path = grid_spec_path(&paths);
+    let spec_path = paths.grid_spec();
     if spec_path.exists() {
         let existing = read_grid_spec(&paths)?;
         if &existing != spec {
@@ -1977,7 +1972,7 @@ fn execute_mapreduce(
     writeln!(
         out,
         "scoreboard: fnv1a:{:016x} ({})",
-        campaign::mapreduce::fingerprint(&outcome.scoreboard),
+        dram_model::fingerprint::fnv1a64(outcome.scoreboard.as_bytes()),
         paths.dir().join("SCOREBOARD.txt").display()
     )
     .expect("write to string");
@@ -1993,8 +1988,8 @@ fn execute_mapreduce(
 
 fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliError> {
     let paths = CampaignPaths::new(dir);
-    let records = campaign::mapreduce::read_merged_journal(&paths)
-        .map_err(|e| CliError::Tool(e.to_string()))?;
+    let records =
+        campaign::read_merged_journal(&paths).map_err(|e| CliError::Tool(e.to_string()))?;
     let state = campaign::JournalState::replay(&records);
     let letters = campaign::dead_letters(&state);
     match op {
@@ -2039,8 +2034,7 @@ fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliErr
             };
             // Requeue records must land *after* the dead records they revive:
             // fold any worker journal shards into the top-level journal first.
-            campaign::mapreduce::compact_journals(&paths)
-                .map_err(|e| CliError::Tool(e.to_string()))?;
+            campaign::compact_journals(&paths).map_err(|e| CliError::Tool(e.to_string()))?;
             let requeued = campaign::requeue(&paths.journal(), &state, mode, job)
                 .map_err(|e| CliError::Tool(e.to_string()))?;
             // dlq.txt mirrors the journal: rewrite it from the post-requeue state.
@@ -2069,20 +2063,25 @@ fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliErr
     }
 }
 
-/// Rebuilds a campaign's mapping store from its journal — the durable
-/// record of truth, exactly what `campaign status` counts — so a kill
-/// between a journaled completion and the store rewrite never makes the
-/// commands disagree. Only when the journal cannot be replayed does a
+/// Rebuilds a campaign's mapping store from its merged journal — the
+/// durable record of truth, exactly what `campaign status` counts — so a
+/// kill between a journaled completion and the store rewrite never makes
+/// the commands disagree. Only when the journal cannot be replayed does a
 /// persisted `store.txt` answer instead.
 fn load_campaign_store(paths: &CampaignPaths) -> Result<MappingStore, CliError> {
-    let rebuilt = read_campaign_spec(paths).and_then(|spec| {
-        let records =
-            campaign::read_journal(&paths.journal()).map_err(|e| CliError::Tool(e.to_string()))?;
-        Ok(campaign::store_from_state(
-            &campaign::JournalState::replay(&records),
-            &spec,
-        ))
-    });
+    let rebuilt = campaign::read_merged_journal(paths)
+        .map_err(|e| CliError::Tool(e.to_string()))
+        .and_then(|records| {
+            let state = campaign::JournalState::replay(&records);
+            if paths.grid_spec().exists() {
+                Ok(campaign::mapreduce::grid_store_from_state(&state))
+            } else {
+                Ok(campaign::store_from_state(
+                    &state,
+                    &read_campaign_spec(paths)?,
+                ))
+            }
+        });
     match rebuilt {
         Ok(store) => Ok(store),
         Err(journal_error) => std::fs::read_to_string(paths.store())
@@ -3746,6 +3745,24 @@ mod tests {
         let out = status().unwrap();
         assert!(out.contains("2/2 completed, 0 dead, 0 pending"), "{out}");
         assert!(!out.contains("pending g"), "{out}");
+
+        // `campaign query` rebuilds the grid's store from its merged
+        // journal, so a corrupt or missing store.txt answers the same.
+        let store_path = dir.join("store.txt");
+        let store = MappingStore::decode(&std::fs::read_to_string(&store_path).unwrap()).unwrap();
+        let func = store.entries().next().unwrap().mapping.bank_funcs()[0].to_string();
+        let query = || {
+            execute(&Command::Campaign(CampaignAction::Query {
+                dir: dir_str.clone(),
+                func: func.clone(),
+            }))
+        };
+        let answer = query().unwrap();
+        assert!(answer.contains("machines sharing it: gen-"), "{answer}");
+        std::fs::write(&store_path, "[mapping]\nfuncs = (13,").unwrap();
+        assert_eq!(query().unwrap(), answer);
+        std::fs::remove_file(&store_path).unwrap();
+        assert_eq!(query().unwrap(), answer);
 
         // A corrupt grid spec is an error, not a silent fallback.
         std::fs::write(dir.join("grid.spec"), "scenarios = many\n").unwrap();

@@ -12,76 +12,9 @@ use crate::fine::{FineBits, ValidationReport};
 use crate::functions::DetectedFunctions;
 use crate::knowledge::DomainKnowledge;
 
-/// Measurement cost of one pipeline phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseCosts {
-    /// Pair-latency measurements issued during the phase.
-    pub measurements: u64,
-    /// Individual memory accesses issued during the phase.
-    pub accesses: u64,
-    /// Simulated (or wall-clock, for the hardware probe) nanoseconds spent.
-    pub elapsed_ns: u64,
-    /// SBDR queries answered from the probe cache during the phase.
-    pub cache_hits: u64,
-    /// SBDR queries that missed the probe cache during the phase.
-    pub cache_misses: u64,
-}
-
-impl From<ProbeStats> for PhaseCosts {
-    fn from(stats: ProbeStats) -> Self {
-        PhaseCosts {
-            measurements: stats.measurements,
-            accesses: stats.accesses,
-            elapsed_ns: stats.elapsed_ns,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-        }
-    }
-}
-
-impl From<PhaseCosts> for ProbeStats {
-    fn from(costs: PhaseCosts) -> Self {
-        ProbeStats {
-            measurements: costs.measurements,
-            accesses: costs.accesses,
-            elapsed_ns: costs.elapsed_ns,
-            cache_hits: costs.cache_hits,
-            cache_misses: costs.cache_misses,
-        }
-    }
-}
-
-impl PhaseCosts {
-    /// The cost delta between two snapshots of the *same* probe.
-    /// Subtraction saturates: [`ProbeStats::merge`] saturates at `u64::MAX`,
-    /// so a later snapshot of a long-lived probe can legitimately carry a
-    /// saturated counter that is no longer strictly larger than an earlier
-    /// one — the delta clamps to zero instead of panicking in debug builds.
-    pub(crate) fn between(before: ProbeStats, after: ProbeStats) -> Self {
-        PhaseCosts {
-            measurements: after.measurements.saturating_sub(before.measurements),
-            accesses: after.accesses.saturating_sub(before.accesses),
-            elapsed_ns: after.elapsed_ns.saturating_sub(before.elapsed_ns),
-            cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
-            cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
-        }
-    }
-
-    /// Elapsed time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed_ns as f64 / 1e9
-    }
-
-    /// Sums two cost snapshots for aggregating *independent* runs — e.g.
-    /// per-job totals into campaign totals. Delegates to
-    /// [`ProbeStats::merge`] (the counters correspond one-to-one), which is
-    /// also where the caveats live: saturating, and never for two snapshots
-    /// of the same run.
-    #[must_use]
-    pub fn merge(self, other: PhaseCosts) -> PhaseCosts {
-        ProbeStats::from(self).merge(other.into()).into()
-    }
-}
+/// Measurement cost of one pipeline phase: the probe's own counters, taken
+/// as the delta between two snapshots ([`ProbeStats::between`]).
+pub type PhaseCosts = ProbeStats;
 
 /// Names of the pipeline phases, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

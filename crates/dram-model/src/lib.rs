@@ -51,7 +51,7 @@ pub mod xor_func;
 
 pub use addr::{DramAddress, PhysAddr};
 pub use error::ModelError;
-pub use machine_gen::{GeneratedMachine, MachineClass, MachineGen, RowRemap};
+pub use machine_gen::{mix_seed, GeneratedMachine, MachineClass, MachineGen, RowRemap};
 pub use mapping::{AddressMapping, MappingBuilder};
 pub use settings::{MachineSetting, Microarch};
 pub use spec::{DdrGeneration, DdrSpec, DramGeometry, SystemInfo};

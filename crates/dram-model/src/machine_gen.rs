@@ -337,6 +337,23 @@ impl fmt::Display for GeneratedMachine {
     }
 }
 
+/// SplitMix64's increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijective avalanche of `z`.
+const fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Derives an independent seed for `lane` from `seed`. Grid samplers draw
+/// every per-scenario seed (machine, simulator, tool) this way, so a
+/// scenario is a pure function of its grid seed and index.
+pub const fn mix_seed(seed: u64, lane: u64) -> u64 {
+    splitmix_finalize(seed ^ lane.wrapping_mul(GOLDEN_GAMMA))
+}
+
 /// A tiny dependency-free SplitMix64 generator: the machine generator must
 /// be deterministic and cannot pull the workspace's `rand` stand-in into
 /// `dram-model` (which is otherwise dependency-free).
@@ -351,11 +368,8 @@ impl SplitMix64 {
     }
 
     fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        splitmix_finalize(self.state)
     }
 
     /// Uniform draw from `0..n` (`n > 0`).

@@ -28,6 +28,22 @@ impl ProbeStats {
         self.elapsed_ns as f64 / 1e9
     }
 
+    /// The cost delta between two snapshots of the *same* probe.
+    /// Subtraction saturates: [`ProbeStats::merge`] saturates at `u64::MAX`,
+    /// so a later snapshot of a long-lived probe can legitimately carry a
+    /// saturated counter that is no longer strictly larger than an earlier
+    /// one — the delta clamps to zero instead of panicking in debug builds.
+    #[must_use]
+    pub fn between(before: ProbeStats, after: ProbeStats) -> ProbeStats {
+        ProbeStats {
+            measurements: after.measurements.saturating_sub(before.measurements),
+            accesses: after.accesses.saturating_sub(before.accesses),
+            elapsed_ns: after.elapsed_ns.saturating_sub(before.elapsed_ns),
+            cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
+            cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
+        }
+    }
+
     /// Sums two stat snapshots field by field (saturating), for aggregating
     /// the costs of *independent* probes — e.g. the per-job totals of a
     /// campaign, where every job owns its own probe and cache.
