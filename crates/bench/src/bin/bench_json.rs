@@ -186,28 +186,26 @@ fn main() {
         .kernel
         .clone()
         .expect("decompose sets kernel");
+    let fast_pivots: Vec<PhysAddr> = fast_partition.piles.iter().map(|p| p.pivot).collect();
 
     let naive_detect_ns = time_per_call(|| {
         detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks, &cfg).unwrap()
     });
     let fast_detect_ns = time_per_call(|| {
-        detect_bank_functions_with_basis(&kernel, &fast_partition.piles, &bank_bits, banks, &cfg)
-            .unwrap()
+        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks, &cfg).unwrap()
     });
     // Rebuilding the merged basis from scratch (what detect_bank_functions
     // does when no kernel was learned) is reported separately.
     let fast_detect_with_build_ns = time_per_call(|| {
         let basis = merged_difference_basis(&fast_partition.piles);
-        detect_bank_functions_with_basis(&basis, &fast_partition.piles, &bank_bits, banks, &cfg)
-            .unwrap()
+        detect_bank_functions_with_basis(&basis, &fast_pivots, &bank_bits, banks, &cfg).unwrap()
     });
     let detect_speedup = naive_detect_ns / fast_detect_ns;
 
     let naive_detected =
         detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks, &cfg).unwrap();
     let fast_detected =
-        detect_bank_functions_with_basis(&kernel, &fast_partition.piles, &bank_bits, banks, &cfg)
-            .unwrap();
+        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks, &cfg).unwrap();
     if naive_detected.functions != fast_detected.functions {
         eprintln!("differential check failed: detect paths disagree on recovered functions");
         std::process::exit(1);

@@ -460,6 +460,14 @@ fn required<'a>(args: &'a [String], key: &str, command: &str) -> Result<&'a str,
         .ok_or_else(|| CliError::Usage(format!("`dramdig {command}` requires {key} <value>")))
 }
 
+/// Parses the required `--machine` number (decimal or `0x` hex) and checks
+/// its range with [`campaign::parse_machine_number`], so `260` is refused
+/// instead of truncated onto machine No.4.
+fn parse_machine(rest: &[String], command: &str) -> Result<u8, CliError> {
+    let number = parse_u64(required(rest, "--machine", command)?)?;
+    campaign::parse_machine_number(&number.to_string()).map_err(CliError::Usage)
+}
+
 /// Parses a machine list with ranges, e.g. `1-9` or `4,7` or `1,3-5`.
 /// Each number goes through [`campaign::parse_machine_number`], so
 /// out-of-range values are rejected instead of truncated onto a valid
@@ -939,7 +947,7 @@ impl Command {
                     &["--resume"],
                     "uncover",
                 )?;
-                let machine = parse_u64(required(rest, "--machine", "uncover")?)? as u8;
+                let machine = parse_machine(rest, "uncover")?;
                 let seed = match flag_value(rest, "--seed") {
                     Some(s) => parse_u64(s)?,
                     None => 0xD16,
@@ -992,11 +1000,15 @@ impl Command {
                     metrics: flag_value(rest, "--metrics").map(str::to_string),
                 })
             }
-            "compare" => Ok(Command::Compare {
-                machine: parse_u64(required(rest, "--machine", "compare")?)? as u8,
-            }),
+            "compare" => {
+                reject_unknown_flags(rest, &["--machine"], "compare")?;
+                Ok(Command::Compare {
+                    machine: parse_machine(rest, "compare")?,
+                })
+            }
             "hammer" => {
-                let machine = parse_u64(required(rest, "--machine", "hammer")?)? as u8;
+                reject_unknown_flags(rest, &["--machine", "--tool", "--tests"], "hammer")?;
+                let machine = parse_machine(rest, "hammer")?;
                 let tool = match flag_value(rest, "--tool") {
                     None | Some("dramdig") => HammerTool::DramDig,
                     Some("drama") => HammerTool::Drama,
@@ -1008,7 +1020,9 @@ impl Command {
                     }
                 };
                 let tests = match flag_value(rest, "--tests") {
-                    Some(t) => parse_u64(t)? as u32,
+                    Some(t) => u32::try_from(parse_u64(t)?).map_err(|_| {
+                        CliError::Usage(format!("--tests `{t}` does not fit 32 bits"))
+                    })?,
                     None => 1,
                 };
                 Ok(Command::Hammer {
@@ -1017,15 +1031,21 @@ impl Command {
                     tests,
                 })
             }
-            "decode" => Ok(Command::Decode {
-                machine: parse_u64(required(rest, "--machine", "decode")?)? as u8,
-                addr: parse_u64(required(rest, "--addr", "decode")?)?,
-            }),
-            "validate" => Ok(Command::Validate {
-                funcs: required(rest, "--funcs", "validate")?.to_string(),
-                rows: required(rest, "--rows", "validate")?.to_string(),
-                cols: required(rest, "--cols", "validate")?.to_string(),
-            }),
+            "decode" => {
+                reject_unknown_flags(rest, &["--machine", "--addr"], "decode")?;
+                Ok(Command::Decode {
+                    machine: parse_machine(rest, "decode")?,
+                    addr: parse_u64(required(rest, "--addr", "decode")?)?,
+                })
+            }
+            "validate" => {
+                reject_unknown_flags(rest, &["--funcs", "--rows", "--cols"], "validate")?;
+                Ok(Command::Validate {
+                    funcs: required(rest, "--funcs", "validate")?.to_string(),
+                    rows: required(rest, "--rows", "validate")?.to_string(),
+                    cols: required(rest, "--cols", "validate")?.to_string(),
+                })
+            }
             "eval" => {
                 reject_unknown_flags(
                     rest,
@@ -2446,6 +2466,52 @@ mod tests {
         );
         assert!(Command::parse(&args(&["hammer", "--machine", "1", "--tool", "hope"])).is_err());
         assert!(Command::parse(&args(&["decode", "--machine", "1"])).is_err());
+    }
+
+    #[test]
+    fn machine_numbers_outside_one_to_nine_are_refused_not_truncated() {
+        // 260 must not wrap onto machine No.4 (260 mod 256).
+        for machine in ["260", "0", "10"] {
+            for line in [
+                vec!["uncover", "--machine", machine],
+                vec!["compare", "--machine", machine],
+                vec!["hammer", "--machine", machine],
+                vec!["decode", "--machine", machine, "--addr", "0x3fe4c40"],
+            ] {
+                let err = Command::parse(&args(&line)).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(msg) if msg.contains("1..=9")),
+                    "{line:?}: {err}"
+                );
+            }
+        }
+        // `--tests` is refused rather than truncated to 32 bits.
+        assert!(Command::parse(&args(&[
+            "hammer",
+            "--machine",
+            "1",
+            "--tests",
+            "4294967298"
+        ]))
+        .is_err());
+    }
+
+    #[test]
+    fn compare_hammer_decode_and_validate_reject_unknown_flags() {
+        for line in [
+            vec!["compare", "--machine", "1", "--seed", "2"],
+            vec!["hammer", "--machine", "1", "--test", "2"],
+            vec!["decode", "--machine", "1", "--addr", "0", "--adr", "1"],
+            vec![
+                "validate", "--funcs", "(6)", "--rows", "1~2", "--cols", "0", "--col", "1",
+            ],
+        ] {
+            let err = Command::parse(&args(&line)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("unknown flag")),
+                "{line:?}: {err}"
+            );
+        }
     }
 
     #[test]

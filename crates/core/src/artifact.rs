@@ -4,23 +4,28 @@
 //! Every phase of the [`PipelineEngine`](crate::engine::PipelineEngine)
 //! consumes the artifacts of earlier phases and produces exactly one
 //! [`PhaseArtifact`] of its own: the calibrated threshold, the coarse bit
-//! classification, the pile partition (with its learned GF(2) kernel), the
-//! detected bank functions, the fine-grained bit classification and the
-//! validation tally. Each artifact round-trips through the same plain-text
-//! `key = value` codec ([`crate::codec`]) that the campaign journal uses, so
-//! a [`PhaseCheckpoint`] written after a completed phase is enough to resume
-//! a killed run from that boundary with a byte-identical final
-//! [`crate::RecoveryReport`].
+//! classification, the pile pivots with their same-bank GF(2) difference
+//! basis, the detected bank functions, the fine-grained bit classification
+//! and the validation tally. Each artifact round-trips through the same
+//! plain-text `key = value` codec ([`crate::codec`]) that the campaign
+//! journal uses, so a [`PhaseCheckpoint`] written after a completed phase is
+//! enough to resume a killed run from that boundary with a byte-identical
+//! final [`crate::RecoveryReport`].
 //!
 //! A checkpoint additionally carries a snapshot of the probe's conflict
 //! cache (oldest entry first): the later phases consult the cache for pairs
 //! earlier phases already classified, so restoring it is required for the
 //! resumed measurement stream — and therefore the cost accounting — to match
 //! the uninterrupted run exactly.
+//!
+//! Every encoded checkpoint ends with a `checksum = fnv1a:<16 hex>` line, the
+//! FNV-1a hash of the bytes before it. Decoding refuses a missing or
+//! mismatched trailer, so a torn or edited file is never half-trusted.
 
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
 
+use dram_model::fingerprint::fnv1a64;
 use dram_model::gf2::PileBasis;
 use dram_model::PhysAddr;
 
@@ -31,7 +36,6 @@ use crate::driver::{Phase, PhaseCosts};
 use crate::error::DramDigError;
 use crate::fine::{FineBits, ValidationReport};
 use crate::functions::DetectedFunctions;
-use crate::partition::{Partition, Pile};
 use crate::report;
 
 /// Outcome of the calibration phase: the conflict threshold in nanoseconds.
@@ -43,14 +47,19 @@ pub struct CalibrationArtifact {
     pub threshold_ns: u64,
 }
 
-/// Outcome of the partition phase: the selected pool size plus the accepted
-/// piles (and, for the decomposition strategy, the learned kernel basis).
+/// Outcome of the partition phase: exactly what Algorithm 3 and the report
+/// read of the piles Algorithm 2 produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionArtifact {
     /// Number of addresses Algorithm 1 selected.
     pub pool_size: usize,
-    /// The pile partition Algorithm 2 produced.
-    pub partition: Partition,
+    /// One pivot per accepted pile, in discovery order (`check_numbering`
+    /// numbers the piles by their pivots).
+    pub pivots: Vec<PhysAddr>,
+    /// The same-bank difference basis of the piles: the kernel the
+    /// decomposition strategy learned, else the merged `member ⊕ pivot`
+    /// basis of the exhaustive piles. A bank function must be constant on it.
+    pub basis: PileBasis,
 }
 
 /// The typed output of one pipeline phase.
@@ -103,7 +112,7 @@ pub struct PhaseCheckpoint {
 const INFALLIBLE: &str = "writing to a String cannot fail";
 
 /// Appends the decimal digits of `value` — what `{value}` formats to,
-/// without the formatting machinery, which dominates a pool-sized list.
+/// without the formatting machinery, which dominates a large cache snapshot.
 fn push_u64(out: &mut String, mut value: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
@@ -157,13 +166,6 @@ fn decode_u64_list(line: usize, key: &str, value: &str) -> Result<Vec<u64>, Code
         .collect()
 }
 
-fn decode_addr_list(line: usize, key: &str, value: &str) -> Result<Vec<PhysAddr>, CodecError> {
-    Ok(decode_u64_list(line, key, value)?
-        .into_iter()
-        .map(PhysAddr::new)
-        .collect())
-}
-
 fn write_basis(out: &mut String, basis: &PileBasis) {
     push_u64(out, basis.pivot());
     out.push(';');
@@ -191,27 +193,53 @@ fn decode_basis(line: usize, key: &str, value: &str) -> Result<PileBasis, CodecE
     Ok(basis)
 }
 
+/// The integrity trailer line that seals `body`.
+fn trailer_for(body: &str) -> String {
+    format!("checksum = fnv1a:{:016x}\n", fnv1a64(body.as_bytes()))
+}
+
+/// The body of a checkpoint whose last line is the trailer sealing it.
+fn unseal(text: &str) -> Result<&str, CodecError> {
+    let start = text
+        .strip_suffix('\n')
+        .map_or(text.len(), |rest| rest.rfind('\n').map_or(0, |i| i + 1));
+    let (body, last) = text.split_at(start);
+    if last != trailer_for(body) {
+        return Err(CodecError::at(
+            body.lines().count() + 1,
+            "no matching `checksum` trailer (torn or edited); clear the checkpoint directory",
+        ));
+    }
+    Ok(body)
+}
+
+/// The space-separated artifact keys of a `phase` checkpoint, besides
+/// `phase`, `costs` and the `cache.N` snapshot.
+fn artifact_keys(phase: Phase) -> &'static str {
+    match phase {
+        Phase::Calibration => "threshold_ns",
+        Phase::CoarseDetection => "coarse_rows coarse_cols coarse_banks coarse_undetermined",
+        Phase::Partition => "pool pivots basis",
+        Phase::FunctionDetection => "functions consistent",
+        Phase::FineDetection => "fine_rows fine_cols fine_pure fine_measured fine_inferred",
+        Phase::Validation => "bit_checks pair_checks cached_checks mismatches",
+    }
+}
+
 /// [`PhaseCheckpoint::encode`] over borrowed parts, so the engine can
 /// encode a fresh artifact's checkpoint and then move the artifact into the
 /// pipeline state without cloning it.
 ///
-/// Everything is written into one `String` pre-sized for the address lists
-/// and the cache snapshot, the two parts that grow with the pool.
+/// Everything is written into one `String` pre-sized for the cache
+/// snapshot, the only part that grows with the run.
 pub(crate) fn encode_checkpoint(
     phase: Phase,
     costs: &PhaseCosts,
     artifact: &PhaseArtifact,
     cache: &[(u64, u64, bool)],
 ) -> String {
-    // Decimal addresses stay below 20 digits plus a separator; a cache
-    // line is its index, two addresses and the verdict.
-    let addresses = match artifact {
-        PhaseArtifact::Partition(p) => {
-            p.partition.unassigned.len() + p.partition.piles.iter().map(Pile::len).sum::<usize>()
-        }
-        _ => 0,
-    };
-    let mut out = String::with_capacity(256 + 21 * addresses + 64 * cache.len());
+    // A cache line is its index, two addresses and the verdict.
+    let mut out = String::with_capacity(256 + 64 * cache.len());
     writeln!(out, "phase = {}", phase.name()).expect(INFALLIBLE);
     writeln!(out, "costs = {}", report::encode_costs(costs)).expect(INFALLIBLE);
     match artifact {
@@ -230,24 +258,10 @@ pub(crate) fn encode_checkpoint(
         }
         PhaseArtifact::Partition(p) => {
             writeln!(out, "pool = {}", p.pool_size).expect(INFALLIBLE);
-            writeln!(out, "rejected = {}", p.partition.rejected_piles).expect(INFALLIBLE);
-            write_line(
-                &mut out,
-                "unassigned",
-                p.partition.unassigned.iter().map(|a| a.raw()),
-            );
-            if let Some(kernel) = &p.partition.kernel {
-                out.push_str("kernel = ");
-                write_basis(&mut out, kernel);
-                out.push('\n');
-            }
-            for (i, pile) in p.partition.piles.iter().enumerate() {
-                write!(out, "pile.{i} = ").expect(INFALLIBLE);
-                push_u64(&mut out, pile.pivot.raw());
-                out.push(';');
-                write_list(&mut out, pile.members.iter().map(|a| a.raw()));
-                out.push('\n');
-            }
+            write_line(&mut out, "pivots", p.pivots.iter().map(|a| a.raw()));
+            out.push_str("basis = ");
+            write_basis(&mut out, &p.basis);
+            out.push('\n');
         }
         PhaseArtifact::Functions(d) => {
             write_line(&mut out, "functions", d.functions.iter().map(|f| f.mask()));
@@ -282,6 +296,8 @@ pub(crate) fn encode_checkpoint(
         write_list(&mut out, [*a, *b, u64::from(*verdict)]);
         out.push('\n');
     }
+    let trailer = trailer_for(&out);
+    out.push_str(&trailer);
     out
 }
 
@@ -305,17 +321,18 @@ impl PhaseCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] for malformed lines, unknown keys, a missing
-    /// phase/costs header, non-contiguous pile or cache indices, or an
-    /// artifact that does not match the named phase.
+    /// Returns [`CodecError`] for a missing or mismatched `checksum`
+    /// trailer, malformed lines, keys that do not belong to the named phase
+    /// (such as a checkpoint written by an older format), a missing
+    /// phase/costs header, non-contiguous cache indices, or a missing
+    /// artifact field.
     pub fn decode(text: &str) -> Result<Self, CodecError> {
-        let lines = codec::parse_kv_lines(text)?;
+        let lines = codec::parse_kv_lines(unseal(text)?)?;
         let missing = |what: &str| CodecError::whole(format!("checkpoint is missing `{what}`"));
 
         let mut phase = None;
         let mut costs = None;
         let mut fields: std::collections::BTreeMap<&str, (usize, &str)> = Default::default();
-        let mut piles: std::collections::BTreeMap<usize, (usize, &str)> = Default::default();
         let mut cache: std::collections::BTreeMap<usize, (usize, &str)> = Default::default();
         for (line, key, value) in lines {
             if key == "phase" {
@@ -325,9 +342,6 @@ impl PhaseCheckpoint {
                 );
             } else if key == "costs" {
                 costs = Some(report::decode_costs(line, key, value)?);
-            } else if let Some(index) = key.strip_prefix("pile.") {
-                let index = codec::parse_usize(line, key, index)?;
-                piles.insert(index, (line, value));
             } else if let Some(index) = key.strip_prefix("cache.") {
                 let index = codec::parse_usize(line, key, index)?;
                 cache.insert(index, (line, value));
@@ -337,6 +351,21 @@ impl PhaseCheckpoint {
         }
         let phase = phase.ok_or_else(|| missing("phase"))?;
         let costs = costs.ok_or_else(|| missing("costs"))?;
+        let known = artifact_keys(phase);
+        let stray = fields
+            .iter()
+            .filter(|(key, _)| !known.split(' ').any(|k| k == **key))
+            .min_by_key(|(_, (line, _))| *line);
+        if let Some((key, &(line, _))) = stray {
+            let phase = phase.name();
+            return Err(CodecError::at(
+                line,
+                format!(
+                    "`{key}` is not a `{phase}` checkpoint key (an older format?); \
+                     clear the checkpoint directory"
+                ),
+            ));
+        }
 
         let field = |key: &str| -> Result<(usize, &str), CodecError> {
             fields.get(key).copied().ok_or_else(|| missing(key))
@@ -363,38 +392,13 @@ impl PhaseCheckpoint {
             Phase::Partition => {
                 let (line, value) = field("pool")?;
                 let pool_size = codec::parse_usize(line, "pool", value)?;
-                let (line, value) = field("rejected")?;
-                let rejected = codec::parse_u32(line, "rejected", value)?;
-                let (line, value) = field("unassigned")?;
-                let unassigned = decode_addr_list(line, "unassigned", value)?;
-                let kernel = match fields.get("kernel") {
-                    Some(&(line, value)) => Some(decode_basis(line, "kernel", value)?),
-                    None => None,
-                };
-                let mut decoded_piles = Vec::with_capacity(piles.len());
-                for (expected, (index, (line, value))) in piles.iter().enumerate() {
-                    if *index != expected {
-                        return Err(CodecError::at(
-                            *line,
-                            format!("pile indices are not contiguous at `pile.{index}`"),
-                        ));
-                    }
-                    let (pivot, members) = value.split_once(';').ok_or_else(|| {
-                        CodecError::at(*line, "a pile expects `pivot;member,member,...`")
-                    })?;
-                    decoded_piles.push(Pile {
-                        pivot: PhysAddr::new(codec::parse_u64(*line, "pile", pivot.trim())?),
-                        members: decode_addr_list(*line, "pile", members.trim())?,
-                    });
-                }
+                let (line, value) = field("pivots")?;
+                let pivots = decode_u64_list(line, "pivots", value)?;
+                let (line, value) = field("basis")?;
                 PhaseArtifact::Partition(PartitionArtifact {
                     pool_size,
-                    partition: Partition {
-                        piles: decoded_piles,
-                        unassigned,
-                        rejected_piles: rejected,
-                        kernel,
-                    },
+                    pivots: pivots.into_iter().map(PhysAddr::new).collect(),
+                    basis: decode_basis(line, "basis", value)?,
                 })
             }
             Phase::FunctionDetection => {
@@ -690,21 +694,8 @@ mod tests {
                 costs,
                 artifact: PhaseArtifact::Partition(PartitionArtifact {
                     pool_size: 4,
-                    partition: Partition {
-                        piles: vec![
-                            Pile {
-                                pivot: PhysAddr::new(0x1000),
-                                members: vec![PhysAddr::new(0x1000), PhysAddr::new(0x7000)],
-                            },
-                            Pile {
-                                pivot: PhysAddr::new(0x3000),
-                                members: vec![PhysAddr::new(0x3000)],
-                            },
-                        ],
-                        unassigned: vec![PhysAddr::new(0x5000)],
-                        rejected_piles: 3,
-                        kernel: Some(kernel),
-                    },
+                    pivots: vec![PhysAddr::new(0x1000), PhysAddr::new(0x3000)],
+                    basis: kernel,
                 }),
                 cache: vec![(0x1000, 0x7000, true)],
             },
@@ -756,27 +747,71 @@ mod tests {
         }
     }
 
+    /// Decodes `body` sealed with a valid trailer, so the body itself is
+    /// what gets judged.
+    fn decode_sealed(body: &str) -> Result<PhaseCheckpoint, CodecError> {
+        PhaseCheckpoint::decode(&format!("{body}{}", trailer_for(body)))
+    }
+
     #[test]
     fn decode_rejects_malformed_checkpoints() {
-        assert!(PhaseCheckpoint::decode("").is_err(), "missing phase");
-        assert!(PhaseCheckpoint::decode("phase = warp\ncosts = 0,0,0,0,0\n").is_err());
+        assert!(decode_sealed("").is_err(), "missing phase");
+        assert!(decode_sealed("phase = warp\ncosts = 0,0,0,0,0\n").is_err());
         assert!(
-            PhaseCheckpoint::decode("phase = calibration\ncosts = 0,0,0,0,0\n").is_err(),
+            decode_sealed("phase = calibration\ncosts = 0,0,0,0,0\n").is_err(),
             "missing threshold"
         );
-        // Non-contiguous cache and pile indices are rejected.
+        // Non-contiguous cache indices and bad verdicts are rejected.
         let base = "phase = calibration\ncosts = 0,0,0,0,0\nthreshold_ns = 1\n";
-        assert!(PhaseCheckpoint::decode(&format!("{base}cache.1 = 1,2,1\n")).is_err());
-        assert!(PhaseCheckpoint::decode(&format!("{base}cache.0 = 1,2,maybe\n")).is_err());
-        let partition =
-            "phase = partition\ncosts = 0,0,0,0,0\npool = 2\nrejected = 0\nunassigned = \n";
-        assert!(PhaseCheckpoint::decode(&format!("{partition}pile.1 = 0;0\n")).is_err());
-        assert!(PhaseCheckpoint::decode(&format!("{partition}pile.0 = garbage\n")).is_err());
-        // A kernel whose rows are not echelon is rejected.
+        assert!(decode_sealed(base).is_ok());
+        assert!(decode_sealed(&format!("{base}cache.1 = 1,2,1\n")).is_err());
+        assert!(decode_sealed(&format!("{base}cache.0 = 1,2,maybe\n")).is_err());
+        // A key of another phase is refused, naming its line.
+        let err = decode_sealed(&format!("{base}pool = 2\n")).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        let partition = "phase = partition\ncosts = 0,0,0,0,0\npool = 2\n";
+        assert!(decode_sealed(&format!("{partition}pivots = 0,1\nbasis = 0;\n")).is_ok());
+        assert!(decode_sealed(&format!("{partition}pivots = 0,x\nbasis = 0;\n")).is_err());
+        assert!(decode_sealed(&format!("{partition}pivots = 0\n")).is_err());
+        // A basis whose rows are not echelon is rejected.
+        assert!(decode_sealed(&format!("{partition}pivots = 0\nbasis = 0;3,1,2\n")).is_err());
+    }
+
+    #[test]
+    fn old_format_partition_checkpoints_are_refused() {
+        let old = "phase = partition\ncosts = 0,0,0,0,0\npool = 2\nrejected = 0\n\
+                   unassigned = \nkernel = 0;1\npile.0 = 0;0,1\npile.1 = 2;2,3\n";
+        // As it sits on disk: no trailer.
+        let err = PhaseCheckpoint::decode(old).unwrap_err();
         assert!(
-            PhaseCheckpoint::decode(&format!("{partition}kernel = 0;3,1,2\npile.0 = 0;0\n"))
-                .is_err()
+            err.reason.contains("clear the checkpoint directory"),
+            "{err}"
         );
+        // Even when sealed, its keys name it as another format.
+        let err = decode_sealed(old).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.reason.contains("`rejected`"), "{err}");
+        assert!(
+            err.reason.contains("clear the checkpoint directory"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_golden_checkpoint_round_trips_and_no_truncation_decodes() {
+        let golden = include_str!("../tests/golden/partition_checkpoint.phase");
+        let decoded = PhaseCheckpoint::decode(golden).unwrap();
+        assert_eq!(decoded.encode(), golden);
+        for cut in 0..golden.len() {
+            assert!(
+                PhaseCheckpoint::decode(&golden[..cut]).is_err(),
+                "a checkpoint cut at byte {cut} decoded"
+            );
+        }
+        // A flipped digit is caught by the checksum.
+        let edited = golden.replacen("pool = 512", "pool = 513", 1);
+        let err = PhaseCheckpoint::decode(&edited).unwrap_err();
+        assert!(err.reason.contains("no matching `checksum`"), "{err}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ use crate::error::DramDigError;
 use crate::fine::{self, FineBits, ValidationReport};
 use crate::functions::{self, DetectedFunctions};
 use crate::knowledge::DomainKnowledge;
-use crate::partition::{self, Partition};
+use crate::partition;
 use crate::select;
 
 /// Phase-unique salts mixed into the per-phase RNG seed and forwarded to
@@ -325,10 +325,8 @@ pub struct PipelineState {
     pub threshold_ns: Option<u64>,
     /// Coarse bit classification (step 1).
     pub coarse: Option<CoarseBits>,
-    /// Selected pool size (step 2a).
-    pub pool_size: Option<usize>,
-    /// Pile partition (step 2b).
-    pub partition: Option<Partition>,
+    /// Pool size, pile pivots and same-bank difference basis (steps 2a/2b).
+    pub partition: Option<PartitionArtifact>,
     /// Detected bank functions (step 2c).
     pub functions: Option<DetectedFunctions>,
     /// Fine-grained bit classification (step 3).
@@ -359,10 +357,7 @@ impl PipelineState {
         match artifact {
             PhaseArtifact::Calibration(c) => self.threshold_ns = Some(c.threshold_ns),
             PhaseArtifact::Coarse(c) => self.coarse = Some(c),
-            PhaseArtifact::Partition(p) => {
-                self.pool_size = Some(p.pool_size);
-                self.partition = Some(p.partition);
-            }
+            PhaseArtifact::Partition(p) => self.partition = Some(p),
             PhaseArtifact::Functions(d) => self.functions = Some(d),
             PhaseArtifact::Fine(f) => {
                 let functions = self
@@ -506,16 +501,22 @@ impl<P: MemoryProbe> PhaseRunner<P> for PartitionRunner {
             .ok_or_else(|| state_missing("coarse"))?;
         let pool = select::select_addresses(ctx.memory, &coarse.bank_bits, ctx.config.max_pool)?;
         let num_banks = ctx.knowledge.total_banks()?;
-        let partition: Partition = partition::partition_with_strategy(
+        let partition = partition::partition_with_strategy(
             ctx.oracle,
             &pool.addresses,
             num_banks,
             ctx.config,
             ctx.rng,
         )?;
+        // Keep only what Algorithm 3 reads: one pivot per pile and the
+        // same-bank difference basis — the kernel Decompose learned, else
+        // the merged basis of the exhaustive piles.
         Ok(PhaseArtifact::Partition(PartitionArtifact {
             pool_size: pool.len(),
-            partition,
+            pivots: partition.piles.iter().map(|pile| pile.pivot).collect(),
+            basis: partition
+                .kernel
+                .unwrap_or_else(|| functions::merged_difference_basis(&partition.piles)),
         }))
     }
 }
@@ -538,25 +539,13 @@ impl<P: MemoryProbe> PhaseRunner<P> for FunctionRunner {
             .partition
             .as_ref()
             .ok_or_else(|| state_missing("partition"))?;
-        let num_banks = ctx.knowledge.total_banks()?;
-        // The decomposition partition already learned the same-bank
-        // difference basis; reuse it instead of re-deriving it from every
-        // pile member.
-        let detected = match &partition.kernel {
-            Some(kernel) => functions::detect_bank_functions_with_basis(
-                kernel,
-                &partition.piles,
-                &coarse.bank_bits,
-                num_banks,
-                ctx.config,
-            )?,
-            None => functions::detect_bank_functions(
-                &partition.piles,
-                &coarse.bank_bits,
-                num_banks,
-                ctx.config,
-            )?,
-        };
+        let detected = functions::detect_bank_functions_with_basis(
+            &partition.basis,
+            &partition.pivots,
+            &coarse.bank_bits,
+            ctx.knowledge.total_banks()?,
+            ctx.config,
+        )?;
         Ok(PhaseArtifact::Functions(detected))
     }
 }
@@ -1000,8 +989,8 @@ impl PipelineEngine {
         Ok(RunReport {
             mapping,
             coarse: state.coarse.ok_or_else(|| state_missing("coarse"))?,
-            pool_size: state.pool_size.ok_or_else(|| state_missing("pool"))?,
-            pile_count: partition.piles.len(),
+            pool_size: partition.pool_size,
+            pile_count: partition.pivots.len(),
             functions: state
                 .functions
                 .ok_or_else(|| state_missing("detected-functions"))?,

@@ -9,7 +9,7 @@
 //! distinctly (`check_numbering`).
 
 use dram_model::gf2::PileBasis;
-use dram_model::{bits, gf2, XorFunc};
+use dram_model::{bits, gf2, PhysAddr, XorFunc};
 
 use crate::config::DramDigConfig;
 use crate::error::DramDigError;
@@ -109,39 +109,35 @@ pub fn consistent_masks(masks: &[u64], basis: &PileBasis) -> Vec<XorFunc> {
     per_chunk.into_iter().flatten().collect()
 }
 
-/// Numbers each pile by evaluating the candidate functions on its pivot.
-fn pile_numbers(functions: &[XorFunc], piles: &[Pile]) -> Vec<u32> {
-    piles
-        .iter()
-        .map(|pile| {
-            let mut value = 0u32;
-            for (i, f) in functions.iter().enumerate() {
-                if f.evaluate(pile.pivot) {
-                    value |= 1 << i;
-                }
-            }
-            value
-        })
-        .collect()
+/// The pivots of `piles`, in pile order: all `check_numbering` reads of a
+/// pile.
+fn pivots_of(piles: &[Pile]) -> Vec<PhysAddr> {
+    piles.iter().map(|pile| pile.pivot).collect()
+}
+
+/// Numbers a pile by evaluating the candidate functions on its pivot.
+fn pile_number(functions: &[XorFunc], pivot: PhysAddr) -> u32 {
+    let mut value = 0u32;
+    for (i, f) in functions.iter().enumerate() {
+        if f.evaluate(pivot) {
+            value |= 1 << i;
+        }
+    }
+    value
 }
 
 /// Returns `true` if the candidate function set assigns a distinct number to
-/// every pile (the paper's `check_numbering`: with `#banks` piles and
-/// `log2(#banks)` functions, distinctness is equivalent to counting the piles
-/// from `0` to `#banks - 1`).
-pub fn numbering_is_valid(functions: &[XorFunc], piles: &[Pile]) -> bool {
+/// every pile, given one pivot per pile (the paper's `check_numbering`: with
+/// `#banks` piles and `log2(#banks)` functions, distinctness is equivalent
+/// to counting the piles from `0` to `#banks - 1`).
+pub fn numbering_is_valid(functions: &[XorFunc], pivots: &[PhysAddr]) -> bool {
     // Up to six functions the numbers fit a u64 bitset, so distinctness
     // needs no allocation or sort — this sits on the hot combination-search
     // path of Algorithm 3.
     if functions.len() <= 6 {
         let mut seen = 0u64;
-        for pile in piles {
-            let mut value = 0u32;
-            for (i, f) in functions.iter().enumerate() {
-                if f.evaluate(pile.pivot) {
-                    value |= 1 << i;
-                }
-            }
+        for &pivot in pivots {
+            let value = pile_number(functions, pivot);
             if seen >> value & 1 == 1 {
                 return false;
             }
@@ -149,15 +145,18 @@ pub fn numbering_is_valid(functions: &[XorFunc], piles: &[Pile]) -> bool {
         }
         return true;
     }
-    let mut numbers = pile_numbers(functions, piles);
+    let mut numbers: Vec<u32> = pivots
+        .iter()
+        .map(|&pivot| pile_number(functions, pivot))
+        .collect();
     numbers.sort_unstable();
     numbers.windows(2).all(|w| w[0] != w[1])
 }
 
 /// Validates the pile/bank inputs shared by every detection entry point and
 /// returns `log2(num_banks)`.
-fn check_inputs(piles: &[Pile], num_banks: u32) -> Result<usize, DramDigError> {
-    if piles.is_empty() {
+fn check_inputs(pivots: &[PhysAddr], num_banks: u32) -> Result<usize, DramDigError> {
+    if pivots.is_empty() {
         return Err(DramDigError::FunctionDetection {
             reason: "no piles to analyse".into(),
         });
@@ -176,7 +175,7 @@ fn check_inputs(piles: &[Pile], num_banks: u32) -> Result<usize, DramDigError> {
 /// piles distinctly.
 fn resolve_functions(
     consistent: Vec<XorFunc>,
-    piles: &[Pile],
+    pivots: &[PhysAddr],
     needed: usize,
 ) -> Result<DetectedFunctions, DramDigError> {
     if consistent.is_empty() {
@@ -200,7 +199,7 @@ fn resolve_functions(
     // distinctly. The canonical order of `remove_redundant` means the first
     // valid combination is also the one built from the smallest functions.
     if independent.len() == needed {
-        if !numbering_is_valid(&independent, piles) {
+        if !numbering_is_valid(&independent, pivots) {
             return Err(DramDigError::FunctionDetection {
                 reason: "the independent functions do not number the piles distinctly".into(),
             });
@@ -211,7 +210,7 @@ fn resolve_functions(
         });
     }
     for combo in bits::Combinations::new(&independent, needed) {
-        if gf2::functions_independent(&combo) && numbering_is_valid(&combo, piles) {
+        if gf2::functions_independent(&combo) && numbering_is_valid(&combo, pivots) {
             return Ok(DetectedFunctions {
                 functions: combo,
                 consistent_masks: consistent,
@@ -221,17 +220,15 @@ fn resolve_functions(
     Err(DramDigError::FunctionDetection {
         reason: format!(
             "no combination of {needed} candidate functions numbers the {} piles distinctly",
-            piles.len()
+            pivots.len()
         ),
     })
 }
 
-/// Runs Algorithm 3 over the piles.
-///
-/// Candidate masks are verified against the merged [`PileBasis`] of all
-/// pile differences (built once here; see
-/// [`detect_bank_functions_with_basis`] when the partition already learned
-/// it) and swept in parallel when the candidate space is large.
+/// Runs Algorithm 3 over the piles: the reference entry point that builds
+/// the merged [`PileBasis`] of all pile differences and hands it, with the
+/// pile pivots, to [`detect_bank_functions_with_basis`] (the pipeline calls
+/// that directly with the basis its partition artifact carries).
 ///
 /// # Errors
 ///
@@ -246,24 +243,26 @@ pub fn detect_bank_functions(
     cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
     let basis = merged_difference_basis(piles);
-    detect_bank_functions_with_basis(&basis, piles, bank_bits, num_banks, cfg)
+    detect_bank_functions_with_basis(&basis, &pivots_of(piles), bank_bits, num_banks, cfg)
 }
 
-/// Runs Algorithm 3 against a pre-computed merged difference basis (the
-/// decomposition partition returns exactly this structure, so the pipeline
-/// skips re-deriving it from tens of thousands of member differences).
+/// Runs Algorithm 3 against the same-bank difference `basis` of the piles
+/// and one pivot per pile — everything the algorithm reads: a candidate
+/// mask must be constant on the basis, and the chosen functions must number
+/// the pivots distinctly. Candidates are swept in parallel when the
+/// candidate space is large.
 ///
 /// # Errors
 ///
 /// Same conditions as [`detect_bank_functions`].
 pub fn detect_bank_functions_with_basis(
     basis: &PileBasis,
-    piles: &[Pile],
+    pivots: &[PhysAddr],
     bank_bits: &[u8],
     num_banks: u32,
     cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
-    let needed = check_inputs(piles, num_banks)?;
+    let needed = check_inputs(pivots, num_banks)?;
     let max_bits = cfg.max_func_bits.min(bank_bits.len());
     // The masks constant on every pile are exactly the span of the
     // orthogonal complement of the difference basis (restricted to the bank
@@ -301,7 +300,7 @@ pub fn detect_bank_functions_with_basis(
             .map(XorFunc::from_mask)
             .collect()
     };
-    resolve_functions(consistent, piles, needed)
+    resolve_functions(consistent, pivots, needed)
 }
 
 /// The seed implementation of Algorithm 3: verifies every candidate mask by
@@ -318,7 +317,8 @@ pub fn detect_bank_functions_naive(
     num_banks: u32,
     cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
-    let needed = check_inputs(piles, num_banks)?;
+    let pivots = pivots_of(piles);
+    let needed = check_inputs(&pivots, num_banks)?;
     let masks = bits::gen_xor_masks(bank_bits, cfg.max_func_bits.min(bank_bits.len()));
     let mut consistent: Vec<XorFunc> = Vec::new();
     'mask: for mask in masks {
@@ -329,13 +329,13 @@ pub fn detect_bank_functions_naive(
         }
         consistent.push(XorFunc::from_mask(mask));
     }
-    resolve_functions(consistent, piles, needed)
+    resolve_functions(consistent, &pivots, needed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_model::{MachineSetting, PhysAddr};
+    use dram_model::MachineSetting;
 
     use crate::partition::synthetic_piles;
 
@@ -482,12 +482,12 @@ mod tests {
     #[test]
     fn numbering_check_rejects_dependent_choices() {
         let setting = MachineSetting::no4_haswell_ddr3_4g();
-        let piles = synthetic_piles(setting.mapping());
+        let pivots = pivots_of(&synthetic_piles(setting.mapping()));
         let funcs = setting.mapping().bank_funcs();
-        assert!(numbering_is_valid(funcs, &piles));
+        assert!(numbering_is_valid(funcs, &pivots));
         // Replacing one function with a duplicate of another collapses the
         // numbering.
         let bad = vec![funcs[0], funcs[1], funcs[1]];
-        assert!(!numbering_is_valid(&bad, &piles));
+        assert!(!numbering_is_valid(&bad, &pivots));
     }
 }

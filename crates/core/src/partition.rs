@@ -31,19 +31,6 @@ pub struct Pile {
 }
 
 impl Pile {
-    /// Number of addresses in the pile (pivot included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Returns `true` if the pile has no members (never produced by the
-    /// partition, but kept for API completeness).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Builds the row-echelon GF(2) basis of the pile's `member ⊕ pivot`
     /// differences — the structure Algorithm 3 verifies candidate masks
     /// against in O(rank) instead of O(members).

@@ -13,8 +13,8 @@ use dram_model::MachineSetting;
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
 use dramdig::engine::{Budget, EngineEvent, EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{
-    CheckpointStore, DomainKnowledge, DramDig, DramDigConfig, DramDigError, Phase, RecoveryReport,
-    RunReport,
+    CheckpointStore, DomainKnowledge, DramDig, DramDigConfig, DramDigError, Phase, PhaseArtifact,
+    RecoveryReport, RunReport,
 };
 use mem_probe::{MemoryProbe, SimProbe};
 
@@ -241,22 +241,16 @@ fn failing_validation_is_not_checkpointed_and_a_restored_one_still_fails() {
             &mut NullObserver,
         )
         .unwrap();
-    // Corrupt the persisted validation tally into a failing one: a resume
-    // must reject it with a validation error, not return a report.
-    let path = dir.join("05-validation.phase");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let poisoned: String = text
-        .lines()
-        .map(|line| {
-            if line.starts_with("mismatches") {
-                "mismatches = 1000".to_string()
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    std::fs::write(&path, poisoned).unwrap();
+    // Rewrite the persisted validation tally into a failing one (re-saved,
+    // so its checksum trailer is valid): a resume must reject it with a
+    // validation error, not return a report.
+    let store = CheckpointStore::new(&dir);
+    let mut checkpoint = store.load_phase(Phase::Validation).unwrap().unwrap();
+    let PhaseArtifact::Validation(tally) = &mut checkpoint.artifact else {
+        panic!("the validation checkpoint holds a validation tally");
+    };
+    tally.mismatches = 1000;
+    store.save_phase(&checkpoint).unwrap();
     let (mut probe, _) = probe_for(4, 11);
     let err = engine
         .run(
