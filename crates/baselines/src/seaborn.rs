@@ -85,10 +85,8 @@ impl Seaborn {
         for _ in 0..self.config.survey_pairs {
             let a = PhysAddr::new(rng.gen_range(0..capacity) & !0xfff);
             let b = PhysAddr::new(rng.gen_range(0..capacity) & !0xfff);
-            for _ in 0..self.config.iterations_per_pair {
-                controller.access(a);
-                controller.access(b);
-            }
+            let accesses = 2 * u64::from(self.config.iterations_per_pair);
+            controller.access_alternating(a, b, accesses, |_| {});
             controller.refresh();
             observed_flips += controller.take_flips().len();
         }

@@ -22,7 +22,8 @@ use dramdig::{
 use mem_probe::SimProbe;
 
 use crate::journal::{
-    read_journal, read_journal_counted, Journal, JournalRecord, JournalState, JOURNAL_TORN_LINES,
+    read_journal, read_journal_counted, read_journal_lines, Journal, JournalRecord, JournalState,
+    JOURNAL_TORN_LINES,
 };
 use crate::pool::{
     drain_pool_ctx, Attempt, Lease, MeteredHooks, PoolConfig, PoolHooks, PoolOutcome,
@@ -384,9 +385,11 @@ fn read_merged_journal_counted(
 }
 
 /// Folds every worker journal shard into the top-level `journal.jsonl` and
-/// removes the shard files. Idempotent under a kill at any point: a shard
-/// is deleted only after its records are flushed, and replay tolerates the
-/// duplicates a mid-compaction kill can leave.
+/// removes the shard files. Each shard is decoded in full first (a
+/// malformed line refuses the compaction), then its whole lines are
+/// appended verbatim with one write and one flush. Idempotent under a kill
+/// at any point: a shard is deleted only after that flush, and replay
+/// tolerates the duplicates a mid-compaction kill can leave.
 ///
 /// # Errors
 ///
@@ -398,13 +401,62 @@ pub fn compact_journals(paths: &CampaignPaths) -> Result<(), CampaignError> {
     }
     let mut journal = Journal::open_append(&paths.journal())?;
     for shard in shards {
-        for record in read_journal(&shard)? {
-            journal.append(&record)?;
-        }
+        journal.append_lines(&read_journal_lines(&shard)?)?;
         std::fs::remove_file(&shard).map_err(|error| CampaignError::Io {
             path: shard.clone(),
             error,
         })?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn started(job: &str, attempt: u32) -> JournalRecord {
+        JournalRecord::Started {
+            job: job.into(),
+            attempt,
+        }
+    }
+
+    fn lines(records: &[JournalRecord]) -> String {
+        records.iter().map(|r| r.encode_line() + "\n").collect()
+    }
+
+    #[test]
+    fn compaction_appends_each_shards_whole_lines_verbatim() {
+        let dir = std::env::temp_dir().join(format!("dramdig-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths = CampaignPaths::new(&dir);
+        let top = lines(&[started("g0000-s1-fast", 1)]);
+        let first = lines(&[started("g0001-s1-fast", 1), started("g0002-s1-fast", 2)]);
+        let second = lines(&[started("g0003-s1-fast", 1)]);
+        std::fs::write(paths.journal(), &top).unwrap();
+        // A torn final line (a worker killed mid-append) is left out.
+        std::fs::write(
+            worker_journal_path(&paths, 0),
+            format!("{first}{{\"kind\":\"sta"),
+        )
+        .unwrap();
+        std::fs::write(worker_journal_path(&paths, 1), &second).unwrap();
+
+        compact_journals(&paths).unwrap();
+        let merged = std::fs::read_to_string(paths.journal()).unwrap();
+        assert_eq!(merged, format!("{top}{first}{second}"));
+        assert!(worker_journal_paths(&paths).unwrap().is_empty());
+
+        // A malformed line refuses the compaction and keeps the shard.
+        let bad = format!("not a record\n{second}");
+        std::fs::write(worker_journal_path(&paths, 2), &bad).unwrap();
+        assert!(compact_journals(&paths).is_err());
+        assert_eq!(
+            std::fs::read_to_string(worker_journal_path(&paths, 2)).unwrap(),
+            bad
+        );
+        assert_eq!(std::fs::read_to_string(paths.journal()).unwrap(), merged);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

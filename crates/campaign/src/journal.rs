@@ -332,6 +332,23 @@ impl Journal {
             .and_then(|()| self.writer.flush())
             .map_err(io)
     }
+
+    /// Appends already-validated, newline-terminated journal lines
+    /// verbatim (see [`read_journal_lines`]) with one write and one flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JournalError::Io`] when the write or flush fails.
+    pub(crate) fn append_lines(&mut self, lines: &[u8]) -> Result<(), JournalError> {
+        debug_assert!(lines.is_empty() || lines.ends_with(b"\n"));
+        self.writer
+            .write_all(lines)
+            .and_then(|()| self.writer.flush())
+            .map_err(|error| JournalError::Io {
+                path: self.path.clone(),
+                error,
+            })
+    }
 }
 
 /// Metrics counter: torn final journal lines a resume dropped.
@@ -366,25 +383,46 @@ pub fn read_journal(path: &Path) -> Result<Vec<JournalRecord>, JournalError> {
 ///
 /// Returns [`JournalError`] on IO failures or malformed lines.
 pub(crate) fn read_journal_counted(path: &Path) -> Result<(Vec<JournalRecord>, u64), JournalError> {
+    let (_, records, torn) = read_journal_parts(path)?;
+    Ok((records, torn))
+}
+
+/// The whole lines of a journal file, byte for byte, once every one of
+/// them has been decoded like [`read_journal`] does: what compaction
+/// appends to the merged journal. A torn final line is left out.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] on IO failures or malformed lines.
+pub(crate) fn read_journal_lines(path: &Path) -> Result<Vec<u8>, JournalError> {
+    Ok(read_journal_parts(path)?.0)
+}
+
+/// A journal file's whole lines (the torn remainder cut off), their
+/// decoded records and the number of torn final lines dropped.
+fn read_journal_parts(path: &Path) -> Result<(Vec<u8>, Vec<JournalRecord>, u64), JournalError> {
     let io = |error| JournalError::Io {
         path: path.to_path_buf(),
         error,
     };
-    let bytes = match std::fs::read(path) {
+    let mut bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Ok((Vec::new(), Vec::new(), 0))
+        }
         Err(error) => return Err(io(error)),
     };
-    let whole = whole_lines(&bytes);
-    let torn = u64::from(!bytes[whole.len()..].trim_ascii().is_empty());
-    let text = std::str::from_utf8(whole)
+    let whole = whole_lines(&bytes).len();
+    let torn = u64::from(!bytes[whole..].trim_ascii().is_empty());
+    bytes.truncate(whole);
+    let text = std::str::from_utf8(&bytes)
         .map_err(|e| io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
     let records = text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(JournalRecord::decode_line)
         .collect::<Result<_, _>>()?;
-    Ok((records, torn))
+    Ok((bytes, records, torn))
 }
 
 /// The resume frontier: everything the journal knows about job progress.

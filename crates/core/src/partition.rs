@@ -137,13 +137,21 @@ pub fn partition_into_piles<P: MemoryProbe>(
         }
         let pivot = *remaining.choose(rng).expect("remaining is non-empty");
         let mut members = vec![pivot];
-        for &other in remaining.iter().filter(|&&a| a != pivot) {
-            if oracle.is_sbdr(pivot, other) {
+        // Marks which entries of `remaining` joined the pile, so removing
+        // an accepted pile is one linear pass (the pool holds each address
+        // once, so marking positions removes exactly the members).
+        let mut joined = vec![false; remaining.len()];
+        for (slot, &other) in joined.iter_mut().zip(&remaining) {
+            if other == pivot {
+                *slot = true;
+            } else if oracle.is_sbdr(pivot, other) {
+                *slot = true;
                 members.push(other);
             }
         }
         if members.len() >= min_sz && members.len() <= max_sz {
-            remaining.retain(|a| !members.contains(a));
+            let mut marks = joined.iter();
+            remaining.retain(|_| !marks.next().expect("one mark per address"));
             assigned += members.len();
             piles.push(Pile { pivot, members });
             if piles.len() > num_banks as usize {

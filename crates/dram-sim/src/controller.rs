@@ -8,6 +8,7 @@ use dram_model::{
 };
 
 use crate::config::SimConfig;
+use crate::noise;
 use crate::rowhammer::{sample_standard_normal, BitFlip, FlipModel};
 use crate::stats::SimStats;
 
@@ -110,11 +111,14 @@ impl MemoryController {
     }
 
     /// One access at pre-decoded coordinates — the body of
-    /// [`MemoryController::access`] after address decoding. A measurement
-    /// loop alternating between two fixed addresses decodes each once and
-    /// replays the accesses through here; the row-buffer transitions, RNG
-    /// draws and refresh schedule are identical to calling `access` (only
-    /// the repeated, pure `to_dram` decode is skipped).
+    /// [`MemoryController::access`] after address decoding.
+    ///
+    /// This is the reference implementation of an access, kept as the twin
+    /// the alternating-pair kernel
+    /// ([`MemoryController::access_alternating`]) is tested against: it
+    /// records each activation in the flip model as it happens and draws
+    /// its noise through the libm Box–Muller sampler
+    /// (`rowhammer::sample_standard_normal`).
     pub fn access_decoded(&mut self, bank: u32, logical_row: u32) -> u64 {
         let row = self.row_remap.map_or(logical_row, |r| r.apply(logical_row));
         let timing = self.config.timing;
@@ -162,6 +166,109 @@ impl MemoryController {
             self.refresh();
         }
         latency
+    }
+
+    /// The alternating-pair kernel: `accesses` accesses alternating between
+    /// `first` and `second` (first, second, first, …), each latency handed
+    /// to `sink` in order. Every fixed-pair loop runs through here: a probe
+    /// measurement, a hammer burst, a blind rowhammer survey.
+    ///
+    /// The effect is bit-identical to calling [`MemoryController::access`]
+    /// on the same sequence — same latencies, RNG draws in the same order,
+    /// refreshes, TRR spikes, rowhammer pressure and flips — and the tests
+    /// compare it against the reference twin
+    /// [`MemoryController::access_decoded`]. Only the cost differs:
+    /// - each address is decoded once;
+    /// - the two aggressors' activations are counted in locals and flushed
+    ///   into the flip model before every refresh and on return;
+    /// - the noise is computed without libm, falling back to the reference
+    ///   formula when a latency lies within a margin of a half-integer
+    ///   (see `noise`).
+    pub fn access_alternating(
+        &mut self,
+        first: PhysAddr,
+        second: PhysAddr,
+        accesses: u64,
+        mut sink: impl FnMut(u64),
+    ) {
+        let targets =
+            [first, second].map(|addr| (self.mapping.bank_of(addr), self.array_row(addr)));
+        let mut pending = [0u32; 2];
+        let timing = self.config.timing;
+        for i in 0..accesses {
+            let slot = (i & 1) as usize;
+            let (bank, row) = targets[slot];
+            let open = &mut self.open_rows[bank as usize];
+            let (base, activated) = match *open {
+                Some(open) if open == row => {
+                    self.stats.row_hits += 1;
+                    (timing.row_hit_ns, false)
+                }
+                Some(_) => {
+                    self.stats.row_conflicts += 1;
+                    (timing.row_conflict_ns, true)
+                }
+                None => {
+                    self.stats.row_empty += 1;
+                    (timing.row_closed_ns, true)
+                }
+            };
+            *open = Some(row);
+
+            let mut quiet = base as f64;
+            if activated {
+                pending[slot] += 1;
+                if timing.trr_period > 0 {
+                    let counter = &mut self.trr_counters[bank as usize];
+                    *counter += 1;
+                    if counter.is_multiple_of(timing.trr_period) {
+                        quiet += timing.trr_spike_ns as f64;
+                    }
+                }
+            }
+            let latency = self.noisy_latency(quiet);
+
+            self.stats.accesses += 1;
+            self.stats.elapsed_ns += latency;
+            if self.stats.elapsed_ns >= self.next_refresh_ns {
+                self.flush_pressure(targets, &mut pending);
+                while self.stats.elapsed_ns >= self.next_refresh_ns {
+                    self.refresh();
+                }
+            }
+            sink(latency);
+        }
+        self.flush_pressure(targets, &mut pending);
+    }
+
+    /// The kernel's noise and rounding for an access whose noise-free
+    /// latency (base plus any TRR spike) is `quiet`: the reference's draws
+    /// in the reference's order, then [`noise::latency`].
+    #[inline]
+    fn noisy_latency(&mut self, quiet: f64) -> u64 {
+        let timing = &self.config.timing;
+        let uniforms = if timing.noise_sigma_ns > 0.0 {
+            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            Some((u1, self.rng.gen::<f64>()))
+        } else {
+            None
+        };
+        let outlier =
+            timing.outlier_probability > 0.0 && self.rng.gen::<f64>() < timing.outlier_probability;
+        noise::latency(
+            quiet,
+            timing.noise_sigma_ns,
+            uniforms,
+            outlier.then_some(timing.outlier_extra_ns as f64),
+        )
+    }
+
+    /// Moves the kernel's locally counted activations into the flip model.
+    fn flush_pressure(&mut self, targets: [(u32, u32); 2], pending: &mut [u32; 2]) {
+        for ((bank, row), count) in targets.into_iter().zip(pending) {
+            self.flip_model
+                .record_activations(bank, row, std::mem::take(count));
+        }
     }
 
     /// Decodes an address without touching the row buffers (oracle access,
@@ -336,6 +443,9 @@ impl SimMachine {
         &mut self.controller
     }
 }
+
+#[cfg(test)]
+mod kernel_props;
 
 #[cfg(test)]
 mod tests {

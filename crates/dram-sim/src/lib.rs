@@ -37,6 +37,7 @@
 
 pub mod config;
 pub mod controller;
+mod noise;
 pub mod phys_mem;
 pub mod rowhammer;
 pub mod stats;

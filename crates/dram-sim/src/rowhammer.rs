@@ -149,11 +149,21 @@ impl FlipModel {
 
     /// Records one activation of `row` in `bank`, pressuring its neighbours.
     pub fn record_activation(&mut self, bank: u32, row: u32) {
+        self.record_activations(bank, row, 1);
+    }
+
+    /// Records `count` activations of `row` in `bank` at once: the same
+    /// pressure as `count` calls of [`FlipModel::record_activation`], and
+    /// none at all (no map entry) when `count` is 0.
+    pub(crate) fn record_activations(&mut self, bank: u32, row: u32, count: u32) {
+        if count == 0 {
+            return;
+        }
         if row > 0 {
-            self.pressure.entry((bank, row - 1)).or_default().from_above += 1;
+            self.pressure.entry((bank, row - 1)).or_default().from_above += count;
         }
         if row + 1 < self.rows_per_bank {
-            self.pressure.entry((bank, row + 1)).or_default().from_below += 1;
+            self.pressure.entry((bank, row + 1)).or_default().from_below += count;
         }
     }
 
@@ -303,10 +313,20 @@ fn sample_poisson(rng: &mut StdRng, mean: f64) -> u32 {
     }
 }
 
-/// Box–Muller standard normal sample.
+/// Box–Muller standard normal sample: two uniform draws, then
+/// [`box_muller`]. This is the reference noise source of
+/// [`crate::MemoryController::access_decoded`]; the alternating-pair kernel
+/// makes the same two draws and computes the transform without libm
+/// (`crate::noise`), and its tests compare against this function.
 pub(crate) fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
+    box_muller(u1, u2)
+}
+
+/// The Box–Muller transform with the platform's `ln` and `cos`, in the
+/// reference operation order.
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

@@ -85,25 +85,20 @@ impl MemoryProbe for SimProbe {
         // Start from a clean row-buffer state, as real tools do by touching
         // unrelated memory / waiting between measurements.
         controller.close_all_rows();
-        // The loop only ever touches these two addresses, so decode each
-        // once and replay the accesses at fixed coordinates — the latency
-        // and RNG streams are identical to decoding inside every access.
-        let da = controller.decode(a);
-        let db = controller.decode(b);
-        self.scratch.clear();
-        // Warm-up access: opens a's row so the loop measures the steady state.
-        controller.access_decoded(da.bank, da.row);
-        for _ in 0..self.rounds {
-            self.scratch
-                .push(controller.access_decoded(db.bank, db.row));
-            self.scratch
-                .push(controller.access_decoded(da.bank, da.row));
-        }
+        // A warm-up access opens a's row, then `rounds` alternations b, a
+        // measure the steady state: one alternating run of 2·rounds + 1
+        // accesses from a, whose first latency is dropped.
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        controller.access_alternating(a, b, 2 * u64::from(self.rounds) + 1, |latency| {
+            scratch.push(latency);
+        });
         self.measurements += 1;
         // The median is the element a full sort would put at the midpoint;
         // selection finds exactly that element without sorting the rest.
-        let mid = self.scratch.len() / 2;
-        *self.scratch.select_nth_unstable(mid).1
+        let samples = &mut self.scratch[1..];
+        let mid = samples.len() / 2;
+        *samples.select_nth_unstable(mid).1
     }
 
     fn memory(&self) -> &PhysMemory {

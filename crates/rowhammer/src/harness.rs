@@ -216,13 +216,7 @@ pub fn hammer_pair(
     let controller = machine.controller_mut();
     controller.refresh();
     controller.take_flips();
-    // The loop only ever touches these two addresses: decode each once and
-    // replay the accesses (identical row-buffer, RNG and refresh effects).
-    let (da, db) = (controller.decode(a), controller.decode(b));
-    for _ in 0..iterations {
-        controller.access_decoded(da.bank, da.row);
-        controller.access_decoded(db.bank, db.row);
-    }
+    controller.access_alternating(a, b, 2 * u64::from(iterations), |_| {});
     controller.refresh();
     controller.take_flips_addressed()
 }

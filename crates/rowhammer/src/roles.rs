@@ -99,10 +99,7 @@ impl Hammerer for DoubleSidedHammerer {
         let Some((below, above)) = view.aggressors_for(victim) else {
             return HammerAttempt::Skipped;
         };
-        for _ in 0..self.iterations {
-            controller.access(below);
-            controller.access(above);
-        }
+        controller.access_alternating(below, above, 2 * u64::from(self.iterations), |_| {});
         HammerAttempt::Hammered {
             aggressors: vec![below, above],
             double_sided_intent: true,
@@ -137,10 +134,7 @@ impl Hammerer for SingleSidedHammerer {
         let Some(partner) = view.with_row(victim, far_row) else {
             return HammerAttempt::Skipped;
         };
-        for _ in 0..self.iterations {
-            controller.access(aggressor);
-            controller.access(partner);
-        }
+        controller.access_alternating(aggressor, partner, 2 * u64::from(self.iterations), |_| {});
         HammerAttempt::Hammered {
             aggressors: vec![aggressor, partner],
             double_sided_intent: false,
