@@ -10,12 +10,10 @@ use dram_sim::{PhysMemory, SimConfig, SimMachine};
 use dramdig::functions::detect_bank_functions;
 use dramdig::partition::{partition_into_piles, synthetic_piles};
 use dramdig::select::select_addresses;
-use dramdig::DramDigConfig;
 use mem_probe::{ConflictOracle, LatencyCalibration, MemoryProbe, SimProbe};
 
 fn bench_partition(c: &mut Criterion) {
     let setting = MachineSetting::no4_haswell_ddr3_4g();
-    let cfg = DramDigConfig::default();
     c.bench_function("partition_no4_64_addresses", |b| {
         b.iter(|| {
             let machine = SimMachine::from_setting(&setting, SimConfig::default());
@@ -31,7 +29,7 @@ fn bench_partition(c: &mut Criterion) {
             .unwrap();
             let mut rng = StdRng::seed_from_u64(1);
             std::hint::black_box(
-                partition_into_piles(&mut oracle, &pool.addresses, 8, &cfg, &mut rng).unwrap(),
+                partition_into_piles(&mut oracle, &pool.addresses, 8, &mut rng).unwrap(),
             )
         })
     });
@@ -45,12 +43,9 @@ fn bench_mask_search(c: &mut Criterion) {
         let piles = synthetic_piles(setting.mapping());
         let bank_bits = setting.mapping().bank_function_bits();
         let banks = setting.system.total_banks();
-        let cfg = DramDigConfig::default();
         group.bench_function(format!("no{number}_{}bits", bank_bits.len()), |b| {
             b.iter(|| {
-                std::hint::black_box(
-                    detect_bank_functions(&piles, &bank_bits, banks, &cfg).unwrap(),
-                )
+                std::hint::black_box(detect_bank_functions(&piles, &bank_bits, banks).unwrap())
             })
         });
     }

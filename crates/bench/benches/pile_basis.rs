@@ -10,7 +10,6 @@ use dramdig::functions::{
     detect_bank_functions_with_basis, mask_constant_on_pile, merged_difference_basis,
 };
 use dramdig::partition::synthetic_piles;
-use dramdig::DramDigConfig;
 
 fn bench_detect_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("detect_bank_functions");
@@ -19,7 +18,6 @@ fn bench_detect_paths(c: &mut Criterion) {
         let piles = synthetic_piles(setting.mapping());
         let bank_bits = setting.mapping().bank_function_bits();
         let banks = setting.system.total_banks();
-        let cfg = DramDigConfig::default();
         let basis = merged_difference_basis(&piles);
         let pivots: Vec<_> = piles.iter().map(|p| p.pivot).collect();
         group.bench_with_input(
@@ -27,13 +25,8 @@ fn bench_detect_paths(c: &mut Criterion) {
             &piles,
             |b, piles| {
                 b.iter(|| {
-                    detect_bank_functions_naive(
-                        std::hint::black_box(piles),
-                        &bank_bits,
-                        banks,
-                        &cfg,
-                    )
-                    .unwrap()
+                    detect_bank_functions_naive(std::hint::black_box(piles), &bank_bits, banks)
+                        .unwrap()
                 })
             },
         );
@@ -47,7 +40,6 @@ fn bench_detect_paths(c: &mut Criterion) {
                         pivots,
                         &bank_bits,
                         banks,
-                        &cfg,
                     )
                     .unwrap()
                 })
@@ -58,8 +50,7 @@ fn bench_detect_paths(c: &mut Criterion) {
             &piles,
             |b, piles| {
                 b.iter(|| {
-                    detect_bank_functions(std::hint::black_box(piles), &bank_bits, banks, &cfg)
-                        .unwrap()
+                    detect_bank_functions(std::hint::black_box(piles), &bank_bits, banks).unwrap()
                 })
             },
         );

@@ -168,19 +168,19 @@ fn main() {
     // pre-learned kernel basis for the fast path.
     let bank_bits = setting.mapping().bank_function_bits();
     let banks = setting.system.total_banks();
-    let cfg = DramDigConfig::default();
+    let seed = DramDigConfig::default().rng_seed;
 
     let mut oracle = oracle_for(&setting);
     let pool = select_addresses(oracle.probe().memory(), &bank_bits, None).unwrap();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(cfg.rng_seed);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let naive_partition =
-        partition_into_piles(&mut oracle, &pool.addresses, banks, &cfg, &mut rng).unwrap();
+        partition_into_piles(&mut oracle, &pool.addresses, banks, &mut rng).unwrap();
     let naive_partition_measurements = oracle.stats().measurements;
 
     let mut oracle2 = oracle_for(&setting);
-    let mut rng2 = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(cfg.rng_seed);
+    let mut rng2 = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let fast_partition =
-        partition_decompose(&mut oracle2, &pool.addresses, banks, &cfg, &mut rng2).unwrap();
+        partition_decompose(&mut oracle2, &pool.addresses, banks, &mut rng2).unwrap();
     let fast_partition_measurements = oracle2.stats().measurements;
     let kernel = fast_partition
         .kernel
@@ -189,23 +189,23 @@ fn main() {
     let fast_pivots: Vec<PhysAddr> = fast_partition.piles.iter().map(|p| p.pivot).collect();
 
     let naive_detect_ns = time_per_call(|| {
-        detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks, &cfg).unwrap()
+        detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks).unwrap()
     });
     let fast_detect_ns = time_per_call(|| {
-        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks, &cfg).unwrap()
+        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks).unwrap()
     });
     // Rebuilding the merged basis from scratch (what detect_bank_functions
     // does when no kernel was learned) is reported separately.
     let fast_detect_with_build_ns = time_per_call(|| {
         let basis = merged_difference_basis(&fast_partition.piles);
-        detect_bank_functions_with_basis(&basis, &fast_pivots, &bank_bits, banks, &cfg).unwrap()
+        detect_bank_functions_with_basis(&basis, &fast_pivots, &bank_bits, banks).unwrap()
     });
     let detect_speedup = naive_detect_ns / fast_detect_ns;
 
     let naive_detected =
-        detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks, &cfg).unwrap();
+        detect_bank_functions_naive(&naive_partition.piles, &bank_bits, banks).unwrap();
     let fast_detected =
-        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks, &cfg).unwrap();
+        detect_bank_functions_with_basis(&kernel, &fast_pivots, &bank_bits, banks).unwrap();
     if naive_detected.functions != fast_detected.functions {
         eprintln!("differential check failed: detect paths disagree on recovered functions");
         std::process::exit(1);
@@ -710,10 +710,7 @@ fn main() {
         .of_class(MachineClass::RowRemap)
         .next()
         .expect("quick grid has a row-remap scenario");
-    let remap_config = DramDigConfig {
-        rng_seed: remap_scenario.tool_seed,
-        ..DramDigConfig::optimized()
-    };
+    let remap_config = DramDigConfig::optimized().with_seed(remap_scenario.tool_seed);
     let remap_knowledge = DomainKnowledge::for_generated(&remap_scenario.machine);
 
     let mut probe = remap_scenario.probe();

@@ -706,14 +706,12 @@ pub fn parse_gate(scoreboard: &str) -> Option<bool> {
         })
 }
 
-/// The DRAMDig configuration the evaluation runs: the optimized profile with
-/// test-sized calibration/validation budgets.
+/// The DRAMDig configuration the evaluation runs: the optimized profile at
+/// [`DramDigConfig::with_fast_budgets`].
 pub fn eval_dramdig_config(tool_seed: u64) -> DramDigConfig {
-    DramDigConfig {
-        calibration_samples: 200,
-        validation_samples: 32,
-        ..DramDigConfig::optimized().with_seed(tool_seed)
-    }
+    DramDigConfig::optimized()
+        .with_seed(tool_seed)
+        .with_fast_budgets()
 }
 
 /// The DRAMA configuration the evaluation runs: the `fast` profile trimmed

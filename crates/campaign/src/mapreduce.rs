@@ -194,15 +194,13 @@ impl GenJob {
     }
 }
 
-/// The configuration grid jobs run with: the job profile's constructor with
-/// grid-sized calibration/validation budgets (a thousand-scenario sweep at
-/// full budgets would dominate CI for no extra signal).
+/// The configuration grid jobs run with: the job profile's configuration
+/// at [`DramDigConfig::with_fast_budgets`], so a thousand-scenario sweep
+/// does not pay full calibration and validation budgets per job (for
+/// `Profile::Fast` this is exactly [`DramDigConfig::fast`]). Grid workers
+/// and the benchmark's grid workload both read a job's configuration here.
 pub fn grid_config(profile: Profile) -> DramDigConfig {
-    DramDigConfig {
-        calibration_samples: 200,
-        validation_samples: 32,
-        ..profile.config()
-    }
+    profile.config().with_fast_budgets()
 }
 
 /// Runs one grid job through the campaign engine's phase-granular resume:

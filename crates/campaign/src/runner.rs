@@ -21,7 +21,7 @@ use dramdig::{DomainKnowledge, DramDigConfig, RecoveryReport};
 use crate::engine;
 use crate::journal::{JournalError, JournalState};
 use crate::pool::{Attempt, PoolConfig};
-use crate::spec::{Ablation, CampaignSpec, JobSpec};
+use crate::spec::{CampaignSpec, JobSpec};
 use crate::store::MappingStore;
 
 /// Filesystem layout of one campaign: a directory holding the spec, the
@@ -302,12 +302,9 @@ pub fn run_job_sim_checkpointed_with(
     let setting = MachineSetting::by_number(job.machine)
         .ok_or_else(|| format!("unknown machine number {}", job.machine))?;
     let mut knowledge = DomainKnowledge::new(setting.system, Some(setting.microarch));
-    knowledge = match job.ablation {
-        Some(Ablation::Specifications) => knowledge.without_specifications(),
-        Some(Ablation::SystemInfo) => knowledge.without_system_info(),
-        Some(Ablation::Empirical) => knowledge.without_empirical(),
-        None => knowledge,
-    };
+    if let Some(ablation) = job.ablation {
+        knowledge = ablation.apply(knowledge);
+    }
     engine::run_engine(
         knowledge,
         |sim| SimMachine::from_setting(&setting, sim),
@@ -454,7 +451,7 @@ pub fn campaign_status(
 mod tests {
     use super::*;
     use crate::journal::{Journal, JournalRecord};
-    use crate::spec::Profile;
+    use crate::spec::{Ablation, Profile};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_paths(tag: &str) -> CampaignPaths {

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use dramdig::codec::{self, CodecError};
-use dramdig::DramDigConfig;
+use dramdig::{DomainKnowledge, DramDigConfig};
 
 /// A named configuration profile (see [`DramDigConfig`]'s constructors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -112,6 +112,16 @@ impl Ablation {
     /// Parses an identifier produced by [`Ablation::as_str`].
     pub fn from_name(name: &str) -> Option<Ablation> {
         Ablation::ALL.into_iter().find(|a| a.as_str() == name)
+    }
+
+    /// `knowledge` with this group disabled.
+    #[must_use]
+    pub fn apply(self, knowledge: DomainKnowledge) -> DomainKnowledge {
+        match self {
+            Ablation::Specifications => knowledge.without_specifications(),
+            Ablation::SystemInfo => knowledge.without_system_info(),
+            Ablation::Empirical => knowledge.without_empirical(),
+        }
     }
 
     /// Parses a comma-separated ablation list where `none` stands for "full

@@ -21,12 +21,7 @@ fn test_runner(
     attempt: u32,
     _checkpoint: Option<&std::path::Path>,
 ) -> Result<RecoveryReport, String> {
-    let config = DramDigConfig {
-        calibration_samples: 200,
-        validation_samples: 32,
-        ..DramDigConfig::optimized()
-    };
-    run_job_sim_with(job, attempt, config)
+    run_job_sim_with(job, attempt, DramDigConfig::optimized().with_fast_budgets())
 }
 
 fn temp_paths(tag: &str) -> CampaignPaths {

@@ -60,15 +60,7 @@ use rowhammer::{
 };
 
 /// Which knowledge group to disable in an `uncover --ablate` run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ablation {
-    /// Drop the DDR specification (row/column bit counts).
-    Specifications,
-    /// Drop the system information (total bank count).
-    SystemInfo,
-    /// Drop the empirical observations.
-    Empirical,
-}
+pub use campaign::Ablation;
 
 /// Which tool's mapping to hammer with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -954,14 +946,11 @@ impl Command {
                 };
                 let ablate = match flag_value(rest, "--ablate") {
                     None => None,
-                    Some("spec") => Some(Ablation::Specifications),
-                    Some("sysinfo") => Some(Ablation::SystemInfo),
-                    Some("empirical") => Some(Ablation::Empirical),
-                    Some(other) => {
-                        return Err(CliError::Usage(format!(
-                            "unknown --ablate group `{other}` (expected spec, sysinfo or empirical)"
-                        )))
-                    }
+                    Some(name) => Some(Ablation::from_name(name).ok_or_else(|| {
+                        CliError::Usage(format!(
+                            "unknown --ablate group `{name}` (expected spec, sysinfo or empirical)"
+                        ))
+                    })?),
                 };
                 let checkpoint = flag_value(rest, "--checkpoint").map(str::to_string);
                 let resume = rest.iter().any(|a| a == "--resume");
@@ -1227,12 +1216,7 @@ fn campaign_tracer(outcome: &CampaignOutcome) -> telemetry::Tracer {
 /// configuration: enough to refuse a `--resume` against the wrong machine
 /// or ablation.
 fn uncover_meta(machine: u8, ablate: Option<Ablation>) -> String {
-    let ablate = match ablate {
-        None => "none",
-        Some(Ablation::Specifications) => "spec",
-        Some(Ablation::SystemInfo) => "sysinfo",
-        Some(Ablation::Empirical) => "empirical",
-    };
+    let ablate = ablate.map_or("none", Ablation::as_str);
     format!("machine = {machine}\nablate = {ablate}\n")
 }
 
@@ -1319,12 +1303,9 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             }
             let mut knowledge = DomainKnowledge::new(setting.system, Some(setting.microarch))
                 .with_observables(observables.clone());
-            knowledge = match ablate {
-                Some(Ablation::Specifications) => knowledge.without_specifications(),
-                Some(Ablation::SystemInfo) => knowledge.without_system_info(),
-                Some(Ablation::Empirical) => knowledge.without_empirical(),
-                None => knowledge,
-            };
+            if let Some(ablation) = ablate {
+                knowledge = ablation.apply(knowledge);
+            }
             let mut options = EngineOptions::default();
             if let Some(dir) = checkpoint {
                 options = options.with_checkpoint(dir);
@@ -1375,12 +1356,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
                     let dir = checkpoint.as_deref().unwrap_or_default();
                     // The suggested command must reproduce this run exactly,
                     // ablation included, or the uncover.meta guard refuses it.
-                    let ablate_flag = match ablate {
-                        None => String::new(),
-                        Some(Ablation::Specifications) => " --ablate spec".into(),
-                        Some(Ablation::SystemInfo) => " --ablate sysinfo".into(),
-                        Some(Ablation::Empirical) => " --ablate empirical".into(),
-                    };
+                    let ablate_flag = ablate.map(|a| format!(" --ablate {a}")).unwrap_or_default();
                     let mut out = String::new();
                     writeln!(out, "machine        : {setting}").expect("write to string");
                     writeln!(out, "interrupted before {phase}: {reason}").expect("write");

@@ -18,9 +18,10 @@
 //! resumed measurement stream — and therefore the cost accounting — to match
 //! the uninterrupted run exactly.
 //!
-//! Every encoded checkpoint ends with a `checksum = fnv1a:<16 hex>` line, the
-//! FNV-1a hash of the bytes before it. Decoding refuses a missing or
-//! mismatched trailer, so a torn or edited file is never half-trusted.
+//! Every encoded checkpoint, and the stored `config.txt`, ends with a
+//! `checksum = fnv1a:<16 hex>` line, the FNV-1a hash of the bytes before it.
+//! Decoding refuses a missing or mismatched trailer, so a torn or edited
+//! file is never half-trusted.
 
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -193,13 +194,14 @@ fn decode_basis(line: usize, key: &str, value: &str) -> Result<PileBasis, CodecE
     Ok(basis)
 }
 
-/// The integrity trailer line that seals `body`.
-fn trailer_for(body: &str) -> String {
+/// The integrity trailer line that seals `body` (a phase checkpoint or the
+/// stored configuration).
+pub(crate) fn trailer_for(body: &str) -> String {
     format!("checksum = fnv1a:{:016x}\n", fnv1a64(body.as_bytes()))
 }
 
 /// The body of a checkpoint whose last line is the trailer sealing it.
-fn unseal(text: &str) -> Result<&str, CodecError> {
+pub(crate) fn unseal(text: &str) -> Result<&str, CodecError> {
     let start = text
         .strip_suffix('\n')
         .map_or(text.len(), |rest| rest.rfind('\n').map_or(0, |i| i + 1));
@@ -555,8 +557,9 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`DramDigError::Checkpoint`] on IO failures or a corrupt
-    /// document.
+    /// Returns [`DramDigError::Checkpoint`], naming the file, on IO
+    /// failures or a document [`DramDigConfig::decode`] refuses (a torn,
+    /// edited or older-format `config.txt`).
     pub fn load_config(&self) -> Result<Option<DramDigConfig>, DramDigError> {
         let Some(text) = Self::read_optional(&self.config_path())? else {
             return Ok(None);

@@ -20,8 +20,12 @@ use dram_model::{PhysAddr, PAGE_SHIFT};
 use dram_sim::PhysMemory;
 use mem_probe::{ConflictOracle, MemoryProbe};
 
-use crate::config::DramDigConfig;
 use crate::error::DramDigError;
+
+/// Random base pages [`find_flip_pair`] tries before declaring a flip mask
+/// unreachable in the page pool (no paper value: the paper assumes the
+/// buddy page is available).
+pub(crate) const MAX_BASES_PER_BIT: u32 = 16;
 
 /// Result of the coarse-grained detection.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -49,16 +53,15 @@ impl CoarseBits {
 /// of `flip_mask`.
 ///
 /// Bits below the page shift can always be satisfied within a single page;
-/// higher bits require the buddy page to be present in the pool, so several
-/// random base pages are tried.
+/// higher bits require the buddy page to be present in the pool, so up to
+/// 16 random base pages (`MAX_BASES_PER_BIT`) are tried.
 pub fn find_flip_pair(
     memory: &PhysMemory,
     flip_mask: u64,
     rng: &mut StdRng,
-    max_bases: u32,
 ) -> Option<(PhysAddr, PhysAddr)> {
     let page_mask = flip_mask >> PAGE_SHIFT << PAGE_SHIFT;
-    for _ in 0..max_bases {
+    for _ in 0..MAX_BASES_PER_BIT {
         let base = memory.random_page(rng)?;
         let buddy = base ^ flip_mask;
         if page_mask == 0 || memory.contains(buddy) {
@@ -79,7 +82,6 @@ pub fn find_flip_pair(
 pub fn detect<P: MemoryProbe>(
     oracle: &mut ConflictOracle<P>,
     address_bits: u8,
-    cfg: &DramDigConfig,
     rng: &mut StdRng,
 ) -> Result<CoarseBits, DramDigError> {
     let memory = oracle.probe().memory().clone();
@@ -90,7 +92,7 @@ pub fn detect<P: MemoryProbe>(
     // batch through the probe's batched entry point.
     let mut row_probes: Vec<(u8, (PhysAddr, PhysAddr))> = Vec::new();
     for bit in 0..address_bits {
-        match find_flip_pair(&memory, 1u64 << bit, rng, cfg.max_bases_per_bit) {
+        match find_flip_pair(&memory, 1u64 << bit, rng) {
             Some(pair) => row_probes.push((bit, pair)),
             None => result.undetermined.push(bit),
         }
@@ -119,7 +121,7 @@ pub fn detect<P: MemoryProbe>(
         let mut classified = false;
         for &row_bit in &reference_rows {
             let mask = (1u64 << bit) | (1u64 << row_bit);
-            if let Some(pair) = find_flip_pair(&memory, mask, rng, cfg.max_bases_per_bit) {
+            if let Some(pair) = find_flip_pair(&memory, mask, rng) {
                 col_probes.push((bit, pair));
                 classified = true;
                 break;
@@ -187,13 +189,7 @@ mod tests {
         let setting = MachineSetting::no4_haswell_ddr3_4g();
         let mut oracle = oracle_for(4);
         let mut rng = StdRng::seed_from_u64(1);
-        let coarse = detect(
-            &mut oracle,
-            setting.system.address_bits(),
-            &DramDigConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let coarse = detect(&mut oracle, setting.system.address_bits(), &mut rng).unwrap();
         let (rows, cols) = ground_truth_coarse(4);
         assert_eq!(coarse.row_bits, rows);
         assert_eq!(coarse.column_bits, cols);
@@ -206,13 +202,7 @@ mod tests {
         let setting = MachineSetting::no6_skylake_ddr4_16g();
         let mut oracle = oracle_for(6);
         let mut rng = StdRng::seed_from_u64(2);
-        let coarse = detect(
-            &mut oracle,
-            setting.system.address_bits(),
-            &DramDigConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let coarse = detect(&mut oracle, setting.system.address_bits(), &mut rng).unwrap();
         let (rows, cols) = ground_truth_coarse(6);
         assert_eq!(coarse.row_bits, rows);
         assert_eq!(coarse.column_bits, cols);
@@ -231,12 +221,12 @@ mod tests {
         let memory = PhysMemory::from_frames(vec![0, 1], 1024);
         let mut rng = StdRng::seed_from_u64(3);
         // Bit 12 flips between frames 0 and 1 — both present.
-        let (a, b) = find_flip_pair(&memory, 1 << 12, &mut rng, 8).unwrap();
+        let (a, b) = find_flip_pair(&memory, 1 << 12, &mut rng).unwrap();
         assert_eq!(a.raw() ^ b.raw(), 1 << 12);
         // Bit 20 would need frame 256, which is absent.
-        assert!(find_flip_pair(&memory, 1 << 20, &mut rng, 8).is_none());
+        assert!(find_flip_pair(&memory, 1 << 20, &mut rng).is_none());
         // Sub-page bits never need a second page.
-        assert!(find_flip_pair(&memory, 1 << 3, &mut rng, 8).is_some());
+        assert!(find_flip_pair(&memory, 1 << 3, &mut rng).is_some());
     }
 
     #[test]
@@ -251,13 +241,7 @@ mod tests {
         let probe = SimProbe::new(machine, memory);
         let mut oracle = ConflictOracle::new(probe, LatencyCalibration::from_threshold(threshold));
         let mut rng = StdRng::seed_from_u64(4);
-        let coarse = detect(
-            &mut oracle,
-            setting.system.address_bits(),
-            &DramDigConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let coarse = detect(&mut oracle, setting.system.address_bits(), &mut rng).unwrap();
         assert!(coarse.undetermined.contains(&31));
         // Undetermined bits are conservatively bank candidates.
         assert!(coarse.bank_bits.contains(&31));

@@ -1,8 +1,8 @@
 //! Line-oriented `key = value` plain-text codec helpers.
 //!
-//! The campaign journal persists configurations and recovery outcomes as
-//! plain text so an interrupted fleet can resume without any serialization
-//! dependency (the build environment is offline). The format is the simplest
+//! Checkpoint directories persist configurations, and the campaign journal
+//! recovery outcomes, as plain text so an interrupted run or fleet can resume
+//! without any serialization dependency. The format is the simplest
 //! thing that round-trips: one `key = value` pair per line, `#` comments and
 //! blank lines ignored. [`crate::config::DramDigConfig`] and
 //! [`crate::report::RecoveryReport`] build their encode/decode on these
@@ -136,22 +136,6 @@ pub fn parse_f64(line: usize, key: &str, value: &str) -> Result<f64, CodecError>
         .map_err(|_| CodecError::at(line, format!("`{key}` expects a number, got `{value}`")))
 }
 
-/// Parses a `true`/`false` value.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] naming the line on malformed input.
-pub fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, CodecError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(CodecError::at(
-            line,
-            format!("`{key}` expects true or false, got `{other}`"),
-        )),
-    }
-}
-
 /// Parses an optional `usize`: the literal `none`, or a number.
 ///
 /// # Errors
@@ -198,8 +182,6 @@ mod tests {
         assert_eq!(parse_u32(2, "k", "42").unwrap(), 42);
         // 2^32 must be rejected, not truncated to 0.
         assert_eq!(parse_u32(2, "k", "4294967296").unwrap_err().line, 2);
-        assert!(parse_bool(1, "k", "true").unwrap());
-        assert!(parse_bool(1, "k", "yes").is_err());
         assert_eq!(parse_opt_usize(1, "k", "none").unwrap(), None);
         assert_eq!(parse_opt_usize(1, "k", "7").unwrap(), Some(7));
         assert_eq!(format_opt_usize(None), "none");

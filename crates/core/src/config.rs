@@ -1,56 +1,53 @@
-//! Tunable parameters of the DRAMDig algorithm.
+//! The settable parameters of the DRAMDig algorithm.
+//!
+//! Only what callers actually vary lives here. The paper's fixed parameters
+//! (δ = 0.2, per_threshold = 85%, functions of at most 7 bits) and the
+//! pipeline's search bounds are named constants beside the one phase that
+//! reads each of them.
 
+use crate::artifact::{trailer_for, unseal};
 use crate::codec::{self, CodecError};
 
-/// How Algorithm 2 splits the selected pool into same-bank piles.
+/// Which of the pipeline's two measurement paths a run takes. Named for the
+/// phase where they differ most, the choice also governs how calibration
+/// and validation spend their budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
-    /// The paper's Algorithm 2: draw a pivot, measure it against *every*
-    /// remaining address, accept the pile when its size is within tolerance.
-    /// Maximal measurement budget, maximal robustness.
+    /// The paper's pipeline: full-budget calibration; Algorithm 2 draws a
+    /// pivot, measures it against *every* remaining address and accepts the
+    /// pile when its size is within tolerance; validation measures every
+    /// random pair afresh. Maximal measurement budget, maximal robustness.
     #[default]
     Exhaustive,
-    /// GF(2) decomposition: learn a basis of the same-bank difference space
-    /// (the kernel of the bank functions over the pool's varying bits) from
-    /// a small number of targeted measurements, then assign every pool
-    /// address to its coset computationally and spot-check one pair per
-    /// pile. An order of magnitude fewer measurements; falls back to
-    /// [`PartitionStrategy::Exhaustive`] when the kernel cannot be
-    /// completed (excess noise, irregular pools).
+    /// The measurement-minimal pipeline: calibration stops once its
+    /// threshold is stable; the partition learns a basis of the same-bank
+    /// difference space (the kernel of the bank functions over the pool's
+    /// varying bits) from a small number of targeted measurements, assigns
+    /// every pool address to its coset computationally and spot-checks one
+    /// pair per pile, falling back to [`PartitionStrategy::Exhaustive`]
+    /// when the kernel cannot be completed; validation replays the probe
+    /// cache as free checks and shrinks its fresh random-pair sample.
     Decompose,
 }
 
-/// Configuration knobs for [`crate::DramDig`].
+impl PartitionStrategy {
+    fn name(self) -> &'static str {
+        match self {
+            PartitionStrategy::Exhaustive => "exhaustive",
+            PartitionStrategy::Decompose => "decompose",
+        }
+    }
+}
+
+/// Configuration of [`crate::DramDig`].
 ///
-/// The defaults correspond to the values reported in the paper
-/// (δ = 0.2, per-threshold = 85%) and to conservative measurement budgets
-/// that work across all nine Table-II machine settings.
+/// The defaults are conservative measurement budgets that work across all
+/// nine Table-II machine settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramDigConfig {
-    /// Tolerance δ on the expected pile size during Algorithm 2: a pile is
-    /// accepted when its size is within `[1-δ, 1+δ] · pool/#banks`.
-    pub delta: f64,
-    /// Fraction of the selected address pool that must be partitioned before
-    /// Algorithm 2 stops (the paper's `per_threshold`, 85%).
-    pub per_threshold: f64,
-    /// Number of random pairs measured to calibrate the conflict threshold.
+    /// Number of random pairs measured to calibrate the conflict threshold
+    /// (an upper bound under [`PartitionStrategy::Decompose`]).
     pub calibration_samples: usize,
-    /// Majority-vote repetitions per SBDR query (1 = single measurement).
-    pub measure_repeat: u32,
-    /// How many different base addresses to try when looking for a
-    /// single-bit-flip pair inside the available page pool (Step 1).
-    pub max_bases_per_bit: u32,
-    /// Upper bound on the number of bits per candidate bank function
-    /// enumerated by Algorithm 3. The widest function observed on Intel
-    /// platforms has 7 bits (Table II), so the default is 7.
-    pub max_func_bits: usize,
-    /// Maximum number of pivot attempts in Algorithm 2 before giving up.
-    pub max_partition_attempts: u32,
-    /// Optional cap on the selected address pool size (per-faithful runs use
-    /// `None`; tests may cap it to keep runtimes low).
-    pub max_pool: Option<usize>,
-    /// Whether to run the measurement-based validation pass after Step 3.
-    pub validate: bool,
     /// Number of random consistency checks performed during validation.
     pub validation_samples: usize,
     /// Seed for the tool's internal randomness (base-address choices, pivot
@@ -60,59 +57,39 @@ pub struct DramDigConfig {
     /// conflict oracle, so no stage ever re-times a pair another stage (or a
     /// rejected pivot attempt) already classified. `None` disables caching.
     pub probe_cache_capacity: Option<usize>,
-    /// Which partition strategy Algorithm 2 uses (see [`PartitionStrategy`]).
-    pub partition_strategy: PartitionStrategy,
-    /// Measurement budget for the [`PartitionStrategy::Decompose`] kernel
-    /// search before it gives up and falls back to the exhaustive strategy.
-    pub max_decompose_queries: u32,
-    /// Calibrate adaptively: stop sampling once the threshold estimate is
-    /// stable across two consecutive chunks instead of always spending the
-    /// full `calibration_samples` budget.
-    pub adaptive_calibration: bool,
-    /// Chunk size for adaptive calibration.
-    pub calibration_chunk: usize,
-    /// Stop a `measure_repeat` majority vote as soon as one side holds a
-    /// strict majority (identical verdicts, fewer measurements).
-    pub early_exit_votes: bool,
-    /// Replay the probe-cache contents as free validation checks and shrink
-    /// the fresh random-pair budget accordingly.
-    pub validate_from_cache: bool,
+    /// Which measurement path the run takes (see [`PartitionStrategy`]).
+    pub strategy: PartitionStrategy,
 }
 
 impl Default for DramDigConfig {
     fn default() -> Self {
         DramDigConfig {
-            delta: 0.2,
-            per_threshold: 0.85,
             calibration_samples: 400,
-            measure_repeat: 1,
-            max_bases_per_bit: 16,
-            max_func_bits: 7,
-            max_partition_attempts: 4096,
-            max_pool: None,
-            validate: true,
             validation_samples: 64,
             rng_seed: 0xD16_5EED,
             probe_cache_capacity: Some(mem_probe::DEFAULT_CACHE_CAPACITY),
-            partition_strategy: PartitionStrategy::Exhaustive,
-            max_decompose_queries: 1024,
-            adaptive_calibration: false,
-            calibration_chunk: 40,
-            early_exit_votes: false,
-            validate_from_cache: false,
+            strategy: PartitionStrategy::Exhaustive,
         }
     }
 }
 
 impl DramDigConfig {
-    /// A configuration tuned for fast unit/integration tests: smaller
-    /// calibration and validation budgets. The recovered mapping is
+    /// A configuration tuned for fast unit/integration tests: the default
+    /// with [`DramDigConfig::with_fast_budgets`]. The recovered mapping is
     /// identical; only the measurement budget changes.
     pub fn fast() -> Self {
+        DramDigConfig::default().with_fast_budgets()
+    }
+
+    /// Swaps in the reduced budgets of [`DramDigConfig::fast`]: 200
+    /// calibration pairs and 32 validation checks. Grid and evaluation runs
+    /// apply them to every profile.
+    #[must_use]
+    pub fn with_fast_budgets(self) -> Self {
         DramDigConfig {
             calibration_samples: 200,
             validation_samples: 32,
-            ..DramDigConfig::default()
+            ..self
         }
     }
 
@@ -122,17 +99,13 @@ impl DramDigConfig {
         self
     }
 
-    /// The measurement-minimal profile: GF(2) kernel decomposition instead
-    /// of the exhaustive pile partition, adaptive calibration, early-exit
-    /// majority votes, and cache-backed validation. The recovered mapping is
-    /// the same as with [`DramDigConfig::default`] on every Table-II
-    /// setting; only the probe budget shrinks (see `BENCH_dramdig.json`).
+    /// The measurement-minimal profile ([`PartitionStrategy::Decompose`]).
+    /// The recovered mapping is the same as with [`DramDigConfig::default`]
+    /// on every Table-II setting; only the probe budget shrinks (see
+    /// `BENCH_dramdig.json`).
     pub fn optimized() -> Self {
         DramDigConfig {
-            partition_strategy: PartitionStrategy::Decompose,
-            adaptive_calibration: true,
-            early_exit_votes: true,
-            validate_from_cache: true,
+            strategy: PartitionStrategy::Decompose,
             ..DramDigConfig::default()
         }
     }
@@ -147,88 +120,47 @@ impl DramDigConfig {
         }
     }
 
-    /// Serializes the configuration as `key = value` lines, one per field.
-    /// [`DramDigConfig::decode`] is the exact inverse; the campaign journal
-    /// stores configurations in this form so a resumed fleet re-runs jobs
-    /// with bit-identical settings.
+    /// Serializes the configuration as `key = value` lines, one per field,
+    /// sealed by the same `checksum = fnv1a:<16 hex>` trailer as a phase
+    /// checkpoint. [`DramDigConfig::decode`] is the exact inverse; a
+    /// checkpoint directory stores the configuration in this form so a
+    /// resumed run continues with bit-identical settings.
     pub fn encode(&self) -> String {
-        let strategy = match self.partition_strategy {
-            PartitionStrategy::Exhaustive => "exhaustive",
-            PartitionStrategy::Decompose => "decompose",
-        };
-        format!(
+        let body = format!(
             concat!(
-                "delta = {:?}\n",
-                "per_threshold = {:?}\n",
                 "calibration_samples = {}\n",
-                "measure_repeat = {}\n",
-                "max_bases_per_bit = {}\n",
-                "max_func_bits = {}\n",
-                "max_partition_attempts = {}\n",
-                "max_pool = {}\n",
-                "validate = {}\n",
                 "validation_samples = {}\n",
                 "rng_seed = {}\n",
                 "probe_cache_capacity = {}\n",
-                "partition_strategy = {}\n",
-                "max_decompose_queries = {}\n",
-                "adaptive_calibration = {}\n",
-                "calibration_chunk = {}\n",
-                "early_exit_votes = {}\n",
-                "validate_from_cache = {}\n",
+                "strategy = {}\n",
             ),
-            self.delta,
-            self.per_threshold,
             self.calibration_samples,
-            self.measure_repeat,
-            self.max_bases_per_bit,
-            self.max_func_bits,
-            self.max_partition_attempts,
-            codec::format_opt_usize(self.max_pool),
-            self.validate,
             self.validation_samples,
             self.rng_seed,
             codec::format_opt_usize(self.probe_cache_capacity),
-            strategy,
-            self.max_decompose_queries,
-            self.adaptive_calibration,
-            self.calibration_chunk,
-            self.early_exit_votes,
-            self.validate_from_cache,
-        )
+            self.strategy.name(),
+        );
+        let trailer = trailer_for(&body);
+        body + &trailer
     }
 
     /// Parses a configuration written by [`DramDigConfig::encode`].
     ///
     /// Keys may appear in any order; keys absent from the document keep
-    /// their [`DramDigConfig::default`] value, so documents written by older
-    /// versions stay readable.
+    /// their [`DramDigConfig::default`] value.
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] for malformed lines, unknown keys or
-    /// unparseable values.
+    /// Returns [`CodecError`] for a missing or mismatched `checksum`
+    /// trailer, malformed lines, unknown keys (such as the tuning knobs an
+    /// older format stored) or unparseable values.
     pub fn decode(text: &str) -> Result<Self, CodecError> {
         let mut config = DramDigConfig::default();
-        for (line, key, value) in codec::parse_kv_lines(text)? {
+        for (line, key, value) in codec::parse_kv_lines(unseal(text)?)? {
             match key {
-                "delta" => config.delta = codec::parse_f64(line, key, value)?,
-                "per_threshold" => config.per_threshold = codec::parse_f64(line, key, value)?,
                 "calibration_samples" => {
                     config.calibration_samples = codec::parse_usize(line, key, value)?;
                 }
-                "measure_repeat" => {
-                    config.measure_repeat = codec::parse_u32(line, key, value)?;
-                }
-                "max_bases_per_bit" => {
-                    config.max_bases_per_bit = codec::parse_u32(line, key, value)?;
-                }
-                "max_func_bits" => config.max_func_bits = codec::parse_usize(line, key, value)?,
-                "max_partition_attempts" => {
-                    config.max_partition_attempts = codec::parse_u32(line, key, value)?;
-                }
-                "max_pool" => config.max_pool = codec::parse_opt_usize(line, key, value)?,
-                "validate" => config.validate = codec::parse_bool(line, key, value)?,
                 "validation_samples" => {
                     config.validation_samples = codec::parse_usize(line, key, value)?;
                 }
@@ -236,37 +168,21 @@ impl DramDigConfig {
                 "probe_cache_capacity" => {
                     config.probe_cache_capacity = codec::parse_opt_usize(line, key, value)?;
                 }
-                "partition_strategy" => {
-                    config.partition_strategy = match value {
-                        "exhaustive" => PartitionStrategy::Exhaustive,
-                        "decompose" => PartitionStrategy::Decompose,
-                        other => {
-                            return Err(CodecError::at(
-                                line,
-                                format!("unknown partition strategy `{other}`"),
-                            ))
-                        }
-                    };
-                }
-                "max_decompose_queries" => {
-                    config.max_decompose_queries = codec::parse_u32(line, key, value)?;
-                }
-                "adaptive_calibration" => {
-                    config.adaptive_calibration = codec::parse_bool(line, key, value)?;
-                }
-                "calibration_chunk" => {
-                    config.calibration_chunk = codec::parse_usize(line, key, value)?;
-                }
-                "early_exit_votes" => {
-                    config.early_exit_votes = codec::parse_bool(line, key, value)?
-                }
-                "validate_from_cache" => {
-                    config.validate_from_cache = codec::parse_bool(line, key, value)?;
+                "strategy" => {
+                    config.strategy = [PartitionStrategy::Exhaustive, PartitionStrategy::Decompose]
+                        .into_iter()
+                        .find(|s| s.name() == value)
+                        .ok_or_else(|| {
+                            CodecError::at(line, format!("unknown strategy `{value}`"))
+                        })?;
                 }
                 other => {
                     return Err(CodecError::at(
                         line,
-                        format!("unknown config key `{other}`"),
+                        format!(
+                            "`{other}` is not a config key (an older format?); \
+                             clear the checkpoint directory"
+                        ),
                     ))
                 }
             }
@@ -279,21 +195,53 @@ impl DramDigConfig {
 mod tests {
     use super::*;
 
+    /// The keys the configuration held before the paper's fixed
+    /// parameters and the single-valued knobs became constants.
+    const REMOVED_KEYS: [&str; 14] = [
+        "delta",
+        "per_threshold",
+        "measure_repeat",
+        "max_bases_per_bit",
+        "max_func_bits",
+        "max_partition_attempts",
+        "max_pool",
+        "validate",
+        "partition_strategy",
+        "max_decompose_queries",
+        "adaptive_calibration",
+        "calibration_chunk",
+        "early_exit_votes",
+        "validate_from_cache",
+    ];
+
+    fn sealed(body: &str) -> String {
+        format!("{body}{}", trailer_for(body))
+    }
+
     #[test]
     fn defaults_match_paper_constants() {
-        let c = DramDigConfig::default();
-        assert!((c.delta - 0.2).abs() < 1e-12);
-        assert!((c.per_threshold - 0.85).abs() < 1e-12);
-        assert_eq!(c.max_func_bits, 7);
-        assert!(c.validate);
+        assert!((crate::partition::DELTA - 0.2).abs() < 1e-12);
+        assert!((crate::partition::PER_THRESHOLD - 0.85).abs() < 1e-12);
+        assert_eq!(crate::functions::MAX_FUNC_BITS, 7);
+        assert_eq!(
+            DramDigConfig::default().strategy,
+            PartitionStrategy::Exhaustive
+        );
     }
 
     #[test]
     fn fast_config_keeps_paper_constants() {
         let c = DramDigConfig::fast();
-        assert_eq!(c.max_pool, None);
         assert!(c.calibration_samples < DramDigConfig::default().calibration_samples);
-        assert!((c.delta - 0.2).abs() < 1e-12);
+        assert!(c.validation_samples < DramDigConfig::default().validation_samples);
+        assert_eq!(
+            c,
+            DramDigConfig {
+                calibration_samples: c.calibration_samples,
+                validation_samples: c.validation_samples,
+                ..DramDigConfig::default()
+            }
+        );
     }
 
     #[test]
@@ -303,15 +251,13 @@ mod tests {
 
     #[test]
     fn optimized_flips_only_the_accelerators() {
-        let c = DramDigConfig::optimized();
-        assert_eq!(c.partition_strategy, PartitionStrategy::Decompose);
-        assert!(c.adaptive_calibration);
-        assert!(c.early_exit_votes);
-        assert!(c.validate_from_cache);
-        // Paper constants are untouched.
-        assert!((c.delta - 0.2).abs() < 1e-12);
-        assert!((c.per_threshold - 0.85).abs() < 1e-12);
-        assert!(c.validate);
+        assert_eq!(
+            DramDigConfig::optimized(),
+            DramDigConfig {
+                strategy: PartitionStrategy::Decompose,
+                ..DramDigConfig::default()
+            }
+        );
     }
 
     #[test]
@@ -322,39 +268,73 @@ mod tests {
             DramDigConfig::optimized(),
             DramDigConfig::naive(),
             DramDigConfig {
-                max_pool: Some(4096),
-                delta: 0.12345678901234567,
                 rng_seed: u64::MAX,
-                ..DramDigConfig::optimized()
+                ..DramDigConfig::optimized().with_fast_budgets()
             },
         ] {
-            let decoded = DramDigConfig::decode(&config.encode()).unwrap();
-            assert_eq!(decoded, config);
+            let text = config.encode();
+            assert_eq!(text.lines().count(), 6, "five keys and the trailer");
+            assert_eq!(DramDigConfig::decode(&text).unwrap(), config);
         }
     }
 
     #[test]
     fn decode_tolerates_missing_keys_and_rejects_unknown_ones() {
         // A partial document keeps defaults for everything unspecified.
-        let partial = DramDigConfig::decode("rng_seed = 99\nmax_pool = none\n").unwrap();
-        assert_eq!(partial.rng_seed, 99);
-        assert_eq!(partial.delta, DramDigConfig::default().delta);
+        let partial = DramDigConfig::decode(&sealed("rng_seed = 99\n")).unwrap();
+        assert_eq!(partial, DramDigConfig::default().with_seed(99));
         // Comments and blank lines are fine.
-        assert!(DramDigConfig::decode("# note\n\nvalidate = false\n").is_ok());
+        assert!(DramDigConfig::decode(&sealed("# note\n\nstrategy = decompose\n")).is_ok());
         // Unknown keys and malformed values are errors that name the line.
         assert_eq!(
-            DramDigConfig::decode("frobnicate = 1\n").unwrap_err().line,
+            DramDigConfig::decode(&sealed("frobnicate = 1\n"))
+                .unwrap_err()
+                .line,
             1
         );
-        assert!(DramDigConfig::decode("delta = much\n").is_err());
-        assert!(DramDigConfig::decode("partition_strategy = magic\n").is_err());
+        assert!(DramDigConfig::decode(&sealed("rng_seed = much\n")).is_err());
+        assert!(DramDigConfig::decode(&sealed("strategy = magic\n")).is_err());
+    }
+
+    #[test]
+    fn every_removed_key_is_refused_with_the_clear_the_directory_hint() {
+        for key in REMOVED_KEYS {
+            let body = format!("rng_seed = 1\n{key} = 1\n");
+            let err = DramDigConfig::decode(&sealed(&body)).unwrap_err();
+            assert_eq!(err.line, 2, "{key}");
+            assert!(err.reason.contains(key), "{key}: {err}");
+            assert!(
+                err.reason.contains("clear the checkpoint directory"),
+                "{key}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn untrailed_or_edited_documents_are_refused() {
+        let text = DramDigConfig::fast().encode();
+        let body = &text[..text.find("checksum").unwrap()];
+        // The body alone (the pre-trailer format) is refused...
+        let err = DramDigConfig::decode(body).unwrap_err();
+        assert!(
+            err.reason.contains("clear the checkpoint directory"),
+            "{err}"
+        );
+        // ...and so is one edited digit under an intact trailer.
+        let edited = text.replace("calibration_samples = 200", "calibration_samples = 201");
+        assert_ne!(edited, text);
+        let err = DramDigConfig::decode(&edited).unwrap_err();
+        assert!(err.reason.contains("checksum"), "{err}");
+        // Every proper prefix is refused too.
+        for cut in 0..text.len() {
+            assert!(DramDigConfig::decode(&text[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
     fn naive_profile_disables_the_cache() {
         let c = DramDigConfig::naive();
         assert_eq!(c.probe_cache_capacity, None);
-        assert_eq!(c.partition_strategy, PartitionStrategy::Exhaustive);
-        assert!(!c.adaptive_calibration && !c.early_exit_votes);
+        assert_eq!(c.strategy, PartitionStrategy::Exhaustive);
     }
 }

@@ -29,7 +29,7 @@ pub enum Phase {
     FunctionDetection,
     /// Step 3: fine-grained shared-bit detection.
     FineDetection,
-    /// Optional measurement-based validation.
+    /// Measurement-based validation of the recovered mapping.
     Validation,
 }
 
@@ -142,8 +142,8 @@ pub struct RunReport {
     pub functions: DetectedFunctions,
     /// Step-3 result (full bit classification).
     pub fine: FineBits,
-    /// Validation outcome, when enabled.
-    pub validation: Option<ValidationReport>,
+    /// Validation outcome.
+    pub validation: ValidationReport,
     /// The calibrated conflict threshold in nanoseconds.
     pub threshold_ns: u64,
     /// Per-phase measurement costs.
@@ -298,7 +298,7 @@ mod tests {
         let (report, setting) = run_setting(4, DramDigConfig::fast());
         assert!(report.mapping.equivalent_to(setting.mapping()));
         assert_eq!(report.pile_count, 8);
-        assert!(report.validation.unwrap().agreement() > 0.95);
+        assert!(report.validation.agreement() > 0.95);
         assert!(report.total.measurements > 0);
         assert!(report.elapsed_seconds() > 0.0);
     }

@@ -73,7 +73,7 @@ use crate::artifact::{
     self, CalibrationArtifact, CheckpointStore, PartitionArtifact, PhaseArtifact,
 };
 use crate::coarse::{self, CoarseBits};
-use crate::config::DramDigConfig;
+use crate::config::{DramDigConfig, PartitionStrategy};
 use crate::driver::{Phase, PhaseCosts, RunReport};
 use crate::error::DramDigError;
 use crate::fine::{self, FineBits, ValidationReport};
@@ -244,7 +244,7 @@ pub enum EngineEvent {
         /// The configured cap.
         max_measurements: u64,
     },
-    /// One batched conflict-oracle majority vote settled (emitted only with
+    /// One batched conflict-oracle classification settled (emitted only with
     /// [`EngineOptions::fine_events`] set, between the owning phase's
     /// [`EngineEvent::PhaseStarted`] and [`EngineEvent::PhaseCompleted`]).
     OracleBatch {
@@ -333,7 +333,7 @@ pub struct PipelineState {
     pub fine: Option<FineBits>,
     /// The assembled mapping (derived when the fine artifact lands).
     pub mapping: Option<AddressMapping>,
-    /// Validation tally (optional validation phase).
+    /// Validation tally.
     pub validation: Option<ValidationReport>,
 }
 
@@ -437,6 +437,11 @@ pub trait PhaseRunner<P: MemoryProbe> {
     fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError>;
 }
 
+/// Calibration pairs the adaptive calibration of
+/// [`PartitionStrategy::Decompose`] measures between two threshold
+/// estimates (no paper value: the paper calibrates once, at full budget).
+pub(crate) const CALIBRATION_CHUNK: usize = 40;
+
 struct CalibrationRunner;
 
 impl<P: MemoryProbe> PhaseRunner<P> for CalibrationRunner {
@@ -446,11 +451,11 @@ impl<P: MemoryProbe> PhaseRunner<P> for CalibrationRunner {
 
     fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
         let cfg = ctx.config;
-        let calibration = if cfg.adaptive_calibration {
+        let calibration = if cfg.strategy == PartitionStrategy::Decompose {
             LatencyCalibration::calibrate_adaptive(
                 ctx.oracle.probe_mut(),
                 cfg.calibration_samples,
-                cfg.calibration_chunk,
+                CALIBRATION_CHUNK,
                 cfg.rng_seed ^ 0xCA11,
             )?
         } else {
@@ -476,12 +481,7 @@ impl<P: MemoryProbe> PhaseRunner<P> for CoarseRunner {
     }
 
     fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let coarse = coarse::detect(
-            ctx.oracle,
-            ctx.knowledge.address_bits(),
-            ctx.config,
-            ctx.rng,
-        )?;
+        let coarse = coarse::detect(ctx.oracle, ctx.knowledge.address_bits(), ctx.rng)?;
         Ok(PhaseArtifact::Coarse(coarse))
     }
 }
@@ -499,13 +499,13 @@ impl<P: MemoryProbe> PhaseRunner<P> for PartitionRunner {
             .coarse
             .as_ref()
             .ok_or_else(|| state_missing("coarse"))?;
-        let pool = select::select_addresses(ctx.memory, &coarse.bank_bits, ctx.config.max_pool)?;
+        let pool = select::select_addresses(ctx.memory, &coarse.bank_bits, None)?;
         let num_banks = ctx.knowledge.total_banks()?;
         let partition = partition::partition_with_strategy(
             ctx.oracle,
             &pool.addresses,
             num_banks,
-            ctx.config,
+            ctx.config.strategy,
             ctx.rng,
         )?;
         // Keep only what Algorithm 3 reads: one pivot per pile and the
@@ -544,7 +544,6 @@ impl<P: MemoryProbe> PhaseRunner<P> for FunctionRunner {
             &partition.pivots,
             &coarse.bank_bits,
             ctx.knowledge.total_banks()?,
-            ctx.config,
         )?;
         Ok(PhaseArtifact::Functions(detected))
     }
@@ -574,7 +573,6 @@ impl<P: MemoryProbe> PhaseRunner<P> for FineRunner {
             coarse,
             &functions.functions,
             ctx.knowledge,
-            ctx.config,
             ctx.rng,
         )?;
         Ok(PhaseArtifact::Fine(fine))
@@ -740,8 +738,6 @@ impl PipelineEngine {
 
         let memory = probe.memory().clone();
         let mut oracle = ConflictOracle::new(&mut *probe, LatencyCalibration::from_threshold(0))
-            .with_repeat(self.config.measure_repeat)
-            .with_early_exit(self.config.early_exit_votes)
             .with_batch_log(options.fine_events);
         if let Some(capacity) = self.config.probe_cache_capacity {
             oracle = oracle.with_cache(capacity);
@@ -785,9 +781,6 @@ impl PipelineEngine {
         for (index, phase) in Phase::ALL.into_iter().enumerate() {
             if index < resumed {
                 continue; // restored from a checkpoint above
-            }
-            if phase == Phase::Validation && !self.config.validate {
-                continue;
             }
             if options.cancelled() {
                 return Err(Self::interrupted(
@@ -898,16 +891,9 @@ impl PipelineEngine {
                 }
             }
             // Boundary stops report "the first phase that will not run";
-            // that must be the next *enabled* phase. With validation
-            // disabled, the boundary after fine detection has no later
-            // phase left, so a stop_after/budget trip there is simply a
-            // completed run — not an interruption "before validation" that
-            // was never going to execute.
-            let next_enabled = Phase::ALL
-                .into_iter()
-                .skip(index + 1)
-                .find(|&p| p != Phase::Validation || self.config.validate);
-            if let Some(next) = next_enabled {
+            // after the last phase there is none, so a trip there is simply
+            // a completed run.
+            if let Some(&next) = Phase::ALL.get(index + 1) {
                 if let Some(cap) = options.budget.max_phase_measurements {
                     if costs.measurements > cap {
                         return Err(Self::interrupted(
@@ -946,10 +932,11 @@ impl PipelineEngine {
         // Fresh validation failures error out (without checkpointing)
         // inside the loop; this covers a restored tally, e.g. from a
         // hand-assembled checkpoint directory.
-        if let Some(report) = &state.validation {
-            if let Some(error) = agreement_failure(report) {
-                return Err(error);
-            }
+        let validation = state
+            .validation
+            .ok_or_else(|| state_missing("validation"))?;
+        if let Some(error) = agreement_failure(&validation) {
+            return Err(error);
         }
 
         // Consult the declared extra channels: hand each one the recovered
@@ -995,7 +982,7 @@ impl PipelineEngine {
                 .functions
                 .ok_or_else(|| state_missing("detected-functions"))?,
             fine: state.fine.ok_or_else(|| state_missing("fine"))?,
-            validation: state.validation,
+            validation,
             threshold_ns: state
                 .threshold_ns
                 .ok_or_else(|| state_missing("calibration"))?,

@@ -18,8 +18,7 @@
 //!    the *widest* bank function is not a column bit, which disambiguates the
 //!    channel/rank hash functions of dual-channel machines.
 //!
-//! When [`DramDigConfig::validate`] is enabled, every classification of a
-//! shared bit is re-checked with a *compensated* measurement: the bit is
+//! The validation pass then re-checks every classification of a shared bit with a *compensated* measurement: the bit is
 //! flipped together with a set of pure bank bits chosen (by solving a GF(2)
 //! system over the recovered functions) so that the bank provably stays the
 //! same; the latency must then be high for row bits and low for column bits.
@@ -31,7 +30,7 @@ use dram_sim::PhysMemory;
 use mem_probe::{ConflictOracle, MemoryProbe};
 
 use crate::coarse::{find_flip_pair, CoarseBits};
-use crate::config::DramDigConfig;
+use crate::config::{DramDigConfig, PartitionStrategy};
 use crate::error::DramDigError;
 use crate::knowledge::DomainKnowledge;
 
@@ -51,7 +50,7 @@ pub struct FineBits {
     pub inferred_bits: Vec<u8>,
 }
 
-/// Result of the optional validation pass.
+/// Result of the validation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ValidationReport {
     /// Number of compensated per-bit checks performed.
@@ -90,7 +89,6 @@ pub fn refine<P: MemoryProbe>(
     coarse: &CoarseBits,
     functions: &[XorFunc],
     knowledge: &DomainKnowledge,
-    cfg: &DramDigConfig,
     rng: &mut StdRng,
 ) -> Result<FineBits, DramDigError> {
     let mut rows: Vec<u8> = coarse.row_bits.clone();
@@ -117,7 +115,7 @@ pub fn refine<P: MemoryProbe>(
         if appears_elsewhere {
             continue;
         }
-        let Some(pair) = find_flip_pair(memory, f.mask(), rng, cfg.max_bases_per_bit) else {
+        let Some(pair) = find_flip_pair(memory, f.mask(), rng) else {
             continue;
         };
         probes.push(((low, high), pair));
@@ -316,7 +314,7 @@ pub fn validate<P: MemoryProbe>(
             });
         };
         let flip_mask = (1u64 << bit) | bits::scatter_bits(solution, pure);
-        let Some((a, b)) = find_flip_pair(memory, flip_mask, rng, cfg.max_bases_per_bit) else {
+        let Some((a, b)) = find_flip_pair(memory, flip_mask, rng) else {
             continue;
         };
         let expect_conflict = fine.row_bits.contains(&bit);
@@ -326,13 +324,13 @@ pub fn validate<P: MemoryProbe>(
         }
     }
 
-    // Replay the probe cache as free consistency checks: every pair an
-    // earlier stage measured must agree with the recovered mapping, and
-    // checking costs no measurement at all. A healthy cache then covers the
-    // bulk of the confidence budget and the fresh random sample below
-    // shrinks accordingly.
+    // The decompose path replays the probe cache as free consistency
+    // checks: every pair an earlier stage measured must agree with the
+    // recovered mapping, and checking costs no measurement at all. A
+    // healthy cache then covers the bulk of the confidence budget and the
+    // fresh random sample below shrinks accordingly.
     let mut fresh_budget = cfg.validation_samples;
-    if cfg.validate_from_cache {
+    if cfg.strategy == PartitionStrategy::Decompose {
         if let Some(cache) = oracle.cache() {
             for ((a, b), measured) in cache.entries().take(cfg.validation_samples * 64) {
                 report.cached_checks += 1;
@@ -394,10 +392,8 @@ mod tests {
         let setting = MachineSetting::by_number(number).unwrap();
         let mut oracle = oracle_for(number);
         let memory = oracle.probe().memory().clone();
-        let cfg = DramDigConfig::default();
         let mut rng = StdRng::seed_from_u64(77);
-        let coarse =
-            coarse::detect(&mut oracle, setting.system.address_bits(), &cfg, &mut rng).unwrap();
+        let coarse = coarse::detect(&mut oracle, setting.system.address_bits(), &mut rng).unwrap();
         let knowledge = DomainKnowledge::new(setting.system, Some(setting.microarch));
         let fine = refine(
             &mut oracle,
@@ -405,7 +401,6 @@ mod tests {
             &coarse,
             setting.mapping().bank_funcs(),
             &knowledge,
-            &cfg,
             &mut rng,
         )
         .unwrap();
@@ -552,10 +547,8 @@ mod tests {
         let setting = MachineSetting::no4_haswell_ddr3_4g();
         let mut oracle = oracle_for(4);
         let memory = oracle.probe().memory().clone();
-        let cfg = DramDigConfig::default();
         let mut rng = StdRng::seed_from_u64(8);
-        let coarse =
-            coarse::detect(&mut oracle, setting.system.address_bits(), &cfg, &mut rng).unwrap();
+        let coarse = coarse::detect(&mut oracle, setting.system.address_bits(), &mut rng).unwrap();
         let knowledge =
             DomainKnowledge::new(setting.system, Some(setting.microarch)).without_specifications();
         let fine = refine(
@@ -564,7 +557,6 @@ mod tests {
             &coarse,
             setting.mapping().bank_funcs(),
             &knowledge,
-            &cfg,
             &mut rng,
         )
         .unwrap();

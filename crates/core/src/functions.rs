@@ -11,9 +11,13 @@
 use dram_model::gf2::PileBasis;
 use dram_model::{bits, gf2, PhysAddr, XorFunc};
 
-use crate::config::DramDigConfig;
 use crate::error::DramDigError;
 use crate::partition::Pile;
+
+/// Widest candidate bank function Algorithm 3 enumerates, in bits. The
+/// widest function the paper observes on Intel platforms has 7 bits
+/// (Table II).
+pub(crate) const MAX_FUNC_BITS: usize = 7;
 
 /// Below this many candidate masks the sweep runs on the calling thread:
 /// spawning scoped workers costs more than the whole sweep.
@@ -240,10 +244,9 @@ pub fn detect_bank_functions(
     piles: &[Pile],
     bank_bits: &[u8],
     num_banks: u32,
-    cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
     let basis = merged_difference_basis(piles);
-    detect_bank_functions_with_basis(&basis, &pivots_of(piles), bank_bits, num_banks, cfg)
+    detect_bank_functions_with_basis(&basis, &pivots_of(piles), bank_bits, num_banks)
 }
 
 /// Runs Algorithm 3 against the same-bank difference `basis` of the piles
@@ -260,10 +263,9 @@ pub fn detect_bank_functions_with_basis(
     pivots: &[PhysAddr],
     bank_bits: &[u8],
     num_banks: u32,
-    cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
     let needed = check_inputs(pivots, num_banks)?;
-    let max_bits = cfg.max_func_bits.min(bank_bits.len());
+    let max_bits = MAX_FUNC_BITS.min(bank_bits.len());
     // The masks constant on every pile are exactly the span of the
     // orthogonal complement of the difference basis (restricted to the bank
     // bits), so when that complement is small it is enumerated directly by
@@ -315,11 +317,10 @@ pub fn detect_bank_functions_naive(
     piles: &[Pile],
     bank_bits: &[u8],
     num_banks: u32,
-    cfg: &DramDigConfig,
 ) -> Result<DetectedFunctions, DramDigError> {
     let pivots = pivots_of(piles);
     let needed = check_inputs(&pivots, num_banks)?;
-    let masks = bits::gen_xor_masks(bank_bits, cfg.max_func_bits.min(bank_bits.len()));
+    let masks = bits::gen_xor_masks(bank_bits, MAX_FUNC_BITS.min(bank_bits.len()));
     let mut consistent: Vec<XorFunc> = Vec::new();
     'mask: for mask in masks {
         for pile in piles {
@@ -346,7 +347,6 @@ mod tests {
             &piles,
             &mapping.bank_function_bits(),
             setting.system.total_banks(),
-            &DramDigConfig::default(),
         )
         .unwrap()
     }
@@ -415,9 +415,8 @@ mod tests {
             let piles = synthetic_piles(mapping);
             let bank_bits = mapping.bank_function_bits();
             let banks = setting.system.total_banks();
-            let cfg = DramDigConfig::default();
-            let fast = detect_bank_functions(&piles, &bank_bits, banks, &cfg).unwrap();
-            let naive = detect_bank_functions_naive(&piles, &bank_bits, banks, &cfg).unwrap();
+            let fast = detect_bank_functions(&piles, &bank_bits, banks).unwrap();
+            let naive = detect_bank_functions_naive(&piles, &bank_bits, banks).unwrap();
             assert_eq!(fast, naive, "{}", setting.label());
         }
     }
@@ -459,22 +458,12 @@ mod tests {
         let setting = MachineSetting::no4_haswell_ddr3_4g();
         let piles = synthetic_piles(setting.mapping());
         let bank_bits = setting.mapping().bank_function_bits();
-        let cfg = DramDigConfig::default();
         assert!(matches!(
-            detect_bank_functions(&[], &bank_bits, 8, &cfg),
+            detect_bank_functions(&[], &bank_bits, 8),
             Err(DramDigError::FunctionDetection { .. })
         ));
         assert!(matches!(
-            detect_bank_functions(&piles, &bank_bits, 12, &cfg),
-            Err(DramDigError::FunctionDetection { .. })
-        ));
-        // A mask budget of one bit cannot express the two-bit functions.
-        let tiny = DramDigConfig {
-            max_func_bits: 1,
-            ..DramDigConfig::default()
-        };
-        assert!(matches!(
-            detect_bank_functions(&piles, &bank_bits, 8, &tiny),
+            detect_bank_functions(&piles, &bank_bits, 12),
             Err(DramDigError::FunctionDetection { .. })
         ));
     }

@@ -17,8 +17,26 @@ use dram_model::gf2::PileBasis;
 use dram_model::PhysAddr;
 use mem_probe::{ConflictOracle, MemoryProbe};
 
-use crate::config::{DramDigConfig, PartitionStrategy};
+use crate::config::PartitionStrategy;
 use crate::error::DramDigError;
+
+/// Tolerance δ on the expected pile size: a pile is accepted when its size
+/// is within `[1-δ, 1+δ] · pool/#banks`. The paper uses δ = 0.2.
+pub(crate) const DELTA: f64 = 0.2;
+
+/// Fraction of the selected pool that must be partitioned before
+/// Algorithm 2 stops: the paper's `per_threshold`, 85%.
+pub(crate) const PER_THRESHOLD: f64 = 0.85;
+
+/// Pivot attempts Algorithm 2 makes before giving up (the paper sets no
+/// bound; 4096 is far above the `#banks` plus a few rejections a healthy
+/// run needs).
+pub(crate) const MAX_PARTITION_ATTEMPTS: u32 = 4096;
+
+/// Measurement budget of the [`partition_decompose`] kernel search before
+/// it gives up and [`partition_with_strategy`] falls back to the exhaustive
+/// Algorithm 2 (no paper value: the decomposition is not in the paper).
+pub(crate) const MAX_DECOMPOSE_QUERIES: u32 = 1024;
 
 /// One same-bank pile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +112,6 @@ pub fn partition_into_piles<P: MemoryProbe>(
     oracle: &mut ConflictOracle<P>,
     pool: &[PhysAddr],
     num_banks: u32,
-    cfg: &DramDigConfig,
     rng: &mut StdRng,
 ) -> Result<Partition, DramDigError> {
     let pool_sz = pool.len();
@@ -104,9 +121,9 @@ pub fn partition_into_piles<P: MemoryProbe>(
         });
     }
     let pile_sz = pool_sz as f64 / f64::from(num_banks);
-    let min_sz = ((1.0 - cfg.delta) * pile_sz).floor().max(1.0) as usize;
-    let max_sz = ((1.0 + cfg.delta) * pile_sz).ceil() as usize;
-    let target_assigned = (cfg.per_threshold * pool_sz as f64).ceil() as usize;
+    let min_sz = ((1.0 - DELTA) * pile_sz).floor().max(1.0) as usize;
+    let max_sz = ((1.0 + DELTA) * pile_sz).ceil() as usize;
+    let target_assigned = (PER_THRESHOLD * pool_sz as f64).ceil() as usize;
 
     let mut remaining: Vec<PhysAddr> = pool.to_vec();
     let mut piles: Vec<Pile> = Vec::with_capacity(num_banks as usize);
@@ -123,7 +140,7 @@ pub fn partition_into_piles<P: MemoryProbe>(
             break;
         }
         attempts += 1;
-        if attempts > cfg.max_partition_attempts {
+        if attempts > MAX_PARTITION_ATTEMPTS {
             if target_reached {
                 break;
             }
@@ -204,12 +221,12 @@ pub fn synthetic_piles(mapping: &dram_model::AddressMapping) -> Vec<Pile> {
         .collect()
 }
 
-/// Runs the partition strategy selected by `cfg.partition_strategy`.
+/// Runs the partition `strategy` selects.
 ///
 /// The decomposition strategy is a measurement-budget optimisation, not a
 /// robustness improvement, so when it cannot complete (excess noise, a pool
-/// whose kernel cannot be learned within `cfg.max_decompose_queries`) this
-/// falls back to the exhaustive Algorithm 2 instead of failing the pipeline.
+/// whose kernel cannot be learned within 1024 queries) this falls back to
+/// the exhaustive Algorithm 2 instead of failing the pipeline.
 ///
 /// # Errors
 ///
@@ -218,13 +235,13 @@ pub fn partition_with_strategy<P: MemoryProbe>(
     oracle: &mut ConflictOracle<P>,
     pool: &[PhysAddr],
     num_banks: u32,
-    cfg: &DramDigConfig,
+    strategy: PartitionStrategy,
     rng: &mut StdRng,
 ) -> Result<Partition, DramDigError> {
-    match cfg.partition_strategy {
-        PartitionStrategy::Exhaustive => partition_into_piles(oracle, pool, num_banks, cfg, rng),
-        PartitionStrategy::Decompose => partition_decompose(oracle, pool, num_banks, cfg, rng)
-            .or_else(|_| partition_into_piles(oracle, pool, num_banks, cfg, rng)),
+    match strategy {
+        PartitionStrategy::Exhaustive => partition_into_piles(oracle, pool, num_banks, rng),
+        PartitionStrategy::Decompose => partition_decompose(oracle, pool, num_banks, rng)
+            .or_else(|_| partition_into_piles(oracle, pool, num_banks, rng)),
     }
 }
 
@@ -250,14 +267,12 @@ pub fn partition_with_strategy<P: MemoryProbe>(
 /// # Errors
 ///
 /// Returns [`DramDigError::Partition`] when the pool is too small, when the
-/// kernel cannot be completed within `cfg.max_decompose_queries`
-/// measurements, when the computed cosets do not form exactly `num_banks`
-/// piles, or when a spot check fails.
+/// kernel cannot be completed within 1024 measurements, when the computed
+/// cosets do not form exactly `num_banks` piles, or when a spot check fails.
 pub fn partition_decompose<P: MemoryProbe>(
     oracle: &mut ConflictOracle<P>,
     pool: &[PhysAddr],
     num_banks: u32,
-    cfg: &DramDigConfig,
     rng: &mut StdRng,
 ) -> Result<Partition, DramDigError> {
     let pool_sz = pool.len();
@@ -313,7 +328,7 @@ pub fn partition_decompose<P: MemoryProbe>(
 
     let mut next_candidate = 0usize;
     while kernel.rank() < kernel_rank {
-        if queries >= cfg.max_decompose_queries {
+        if queries >= MAX_DECOMPOSE_QUERIES {
             return Err(DramDigError::Partition {
                 reason: format!(
                     "kernel rank stalled at {}/{kernel_rank} after {queries} decompose queries",
@@ -463,7 +478,6 @@ mod tests {
             &mut oracle,
             &pool.addresses,
             setting.system.total_banks(),
-            &DramDigConfig::default(),
             &mut rng,
         )
         .unwrap();
@@ -503,8 +517,7 @@ mod tests {
         let mut oracle = oracle_for(4, false);
         let mut rng = StdRng::seed_from_u64(0);
         let pool: Vec<PhysAddr> = (0..4u64).map(|i| PhysAddr::new(i * 4096)).collect();
-        let err = partition_into_piles(&mut oracle, &pool, 8, &DramDigConfig::default(), &mut rng)
-            .unwrap_err();
+        let err = partition_into_piles(&mut oracle, &pool, 8, &mut rng).unwrap_err();
         assert!(matches!(err, DramDigError::Partition { .. }));
     }
 
@@ -522,14 +535,16 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let cfg = DramDigConfig {
-            max_partition_attempts: 5,
-            ..DramDigConfig::default()
-        };
         // pool=8, banks=8 -> pile_sz 1, min 1: piles of size 1 are accepted...
         // use 2 banks so expected pile size is 4 and singletons get rejected.
-        let err = partition_into_piles(&mut oracle, &pool, 2, &cfg, &mut rng).unwrap_err();
+        let err = partition_into_piles(&mut oracle, &pool, 2, &mut rng).unwrap_err();
         assert!(matches!(err, DramDigError::Partition { .. }));
+        let attempts = MAX_PARTITION_ATTEMPTS + 1;
+        assert!(
+            err.to_string()
+                .contains(&format!("gave up after {attempts} pivot attempts")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -544,7 +559,6 @@ mod tests {
             &mut oracle,
             &pool.addresses,
             setting.system.total_banks(),
-            &DramDigConfig::default(),
             &mut rng,
         )
         .unwrap();
@@ -572,11 +586,14 @@ mod tests {
         let mut oracle = oracle_for(4, false);
         let mut rng = StdRng::seed_from_u64(1);
         let pool: Vec<PhysAddr> = (0..4u64).map(|i| PhysAddr::new(i * 4096)).collect();
-        let cfg = DramDigConfig {
-            partition_strategy: crate::config::PartitionStrategy::Decompose,
-            ..DramDigConfig::default()
-        };
-        let err = partition_with_strategy(&mut oracle, &pool, 8, &cfg, &mut rng).unwrap_err();
+        let err = partition_with_strategy(
+            &mut oracle,
+            &pool,
+            8,
+            PartitionStrategy::Decompose,
+            &mut rng,
+        )
+        .unwrap_err();
         assert!(matches!(err, DramDigError::Partition { .. }));
     }
 
@@ -587,15 +604,11 @@ mod tests {
         let bank_bits = setting.mapping().bank_function_bits();
         let pool = select_addresses(oracle.probe().memory(), &bank_bits, None).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let cfg = DramDigConfig {
-            partition_strategy: crate::config::PartitionStrategy::Decompose,
-            ..DramDigConfig::default()
-        };
         let partition = partition_with_strategy(
             &mut oracle,
             &pool.addresses,
             setting.system.total_banks(),
-            &cfg,
+            PartitionStrategy::Decompose,
             &mut rng,
         )
         .unwrap();
@@ -664,7 +677,6 @@ mod tests {
         oracle: &mut ConflictOracle<P>,
         pool: &[PhysAddr],
         num_banks: u32,
-        cfg: &DramDigConfig,
         rng: &mut StdRng,
     ) -> Result<Partition, DramDigError> {
         let pool_sz = pool.len();
@@ -713,7 +725,7 @@ mod tests {
 
         let mut next_candidate = 0usize;
         while kernel.rank() < kernel_rank {
-            if queries >= cfg.max_decompose_queries {
+            if queries >= MAX_DECOMPOSE_QUERIES {
                 return Err(DramDigError::Partition {
                     reason: format!(
                         "kernel rank stalled at {}/{kernel_rank} after {queries} decompose queries",
@@ -838,13 +850,11 @@ mod tests {
         seed: u64,
     ) {
         let num_banks = machine.system.total_banks();
-        let cfg = DramDigConfig::default();
         let mut oracle = generated_oracle(machine, noisy);
         let fast = partition_decompose(
             &mut oracle,
             pool,
             num_banks,
-            &cfg,
             &mut StdRng::seed_from_u64(seed),
         );
         let mut reference_oracle = generated_oracle(machine, noisy);
@@ -852,7 +862,6 @@ mod tests {
             &mut reference_oracle,
             pool,
             num_banks,
-            &cfg,
             &mut StdRng::seed_from_u64(seed),
         );
         match (&fast, &reference) {

@@ -46,7 +46,7 @@ impl From<&RunReport> for RecoveryReport {
             pile_count: run.pile_count,
             threshold_ns: run.threshold_ns,
             row_remap: run.row_remap,
-            validation_agreement: run.validation.as_ref().map(|v| v.agreement()),
+            validation_agreement: Some(run.validation.agreement()),
             phase_costs: run.phase_costs.clone(),
             total: run.total,
         }

@@ -29,7 +29,6 @@ fn measured_noisy_piles(setting: &MachineSetting, seed: u64) -> Vec<Pile> {
         &mut oracle,
         &pool.addresses,
         setting.system.total_banks(),
-        &DramDigConfig::default(),
         &mut rng,
     )
     .unwrap()
@@ -42,9 +41,8 @@ fn fast_and_naive_detection_agree_on_clean_piles_for_all_settings() {
         let piles = synthetic_piles(setting.mapping());
         let bank_bits = setting.mapping().bank_function_bits();
         let banks = setting.system.total_banks();
-        let cfg = DramDigConfig::default();
-        let fast = detect_bank_functions(&piles, &bank_bits, banks, &cfg).unwrap();
-        let naive = detect_bank_functions_naive(&piles, &bank_bits, banks, &cfg).unwrap();
+        let fast = detect_bank_functions(&piles, &bank_bits, banks).unwrap();
+        let naive = detect_bank_functions_naive(&piles, &bank_bits, banks).unwrap();
         assert_eq!(
             fast,
             naive,
@@ -65,9 +63,8 @@ fn fast_and_naive_detection_agree_on_noisy_measured_piles() {
         assert!(!piles.is_empty());
         let bank_bits = setting.mapping().bank_function_bits();
         let banks = setting.system.total_banks();
-        let cfg = DramDigConfig::default();
-        let fast = detect_bank_functions(&piles, &bank_bits, banks, &cfg).unwrap();
-        let naive = detect_bank_functions_naive(&piles, &bank_bits, banks, &cfg).unwrap();
+        let fast = detect_bank_functions(&piles, &bank_bits, banks).unwrap();
+        let naive = detect_bank_functions_naive(&piles, &bank_bits, banks).unwrap();
         assert_eq!(
             fast,
             naive,
@@ -84,9 +81,8 @@ fn detection_is_deterministic_for_a_fixed_seed() {
     let b = measured_noisy_piles(&setting, 77);
     assert_eq!(a, b, "partition must be seed-deterministic");
     let bank_bits = setting.mapping().bank_function_bits();
-    let cfg = DramDigConfig::default();
-    let fast_a = detect_bank_functions(&a, &bank_bits, 8, &cfg).unwrap();
-    let fast_b = detect_bank_functions(&b, &bank_bits, 8, &cfg).unwrap();
+    let fast_a = detect_bank_functions(&a, &bank_bits, 8).unwrap();
+    let fast_b = detect_bank_functions(&b, &bank_bits, 8).unwrap();
     assert_eq!(fast_a, fast_b);
 }
 

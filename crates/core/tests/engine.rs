@@ -287,36 +287,24 @@ fn per_phase_budget_interrupts_after_the_offending_phase() {
 }
 
 #[test]
-fn stop_after_fine_detection_with_validation_disabled_is_a_completed_run() {
-    // Regression: with `validate = false` the boundary check used to look at
-    // the *next phase in the table* (Validation) instead of the next phase
-    // that will actually run. Since Validation is disabled there is nothing
-    // left to do after FineDetection, so stopping there — or exhausting a
-    // budget exactly at that boundary — is a completed run, not an
-    // `Interrupted { phase: Validation }`.
-    let config = DramDigConfig {
-        validate: false,
-        ..DramDigConfig::fast()
-    };
+fn stop_after_the_last_phase_is_a_completed_run() {
+    // Boundary stops name the first phase that will not run. After
+    // validation there is none, so stopping there — or exhausting a budget
+    // exactly at that boundary — is a completed run.
+    let config = DramDigConfig::fast();
     let engine = engine_for(4, &config);
-
     let (mut probe, _) = probe_for(4, 11);
     let stopped = engine
         .run(
             &mut probe,
-            &EngineOptions::default().with_stop_after(Phase::FineDetection),
+            &EngineOptions::default().with_stop_after(Phase::Validation),
             &mut NullObserver,
         )
         .unwrap();
-    assert!(stopped.validation.is_none());
     assert_eq!(
         RecoveryReport::from(&stopped).encode(),
         RecoveryReport::from(&straight_run(4, &config, 11)).encode()
     );
-
-    // A total budget that trips at the FineDetection boundary must likewise
-    // report completion: the full spend fits the budget and no enabled phase
-    // remains.
     let spent = probe.stats().measurements;
     let (mut probe, _) = probe_for(4, 11);
     let budgeted = engine.run(
@@ -326,11 +314,9 @@ fn stop_after_fine_detection_with_validation_disabled_is_a_completed_run() {
     );
     assert!(budgeted.is_ok(), "{budgeted:?}");
 
-    // With validation enabled the same stop is a genuine kill (there is an
-    // enabled phase left), so the boundary still interrupts.
-    let with_validation = DramDigConfig::fast();
+    // One phase earlier the same stop is a genuine kill before validation.
     let (mut probe, _) = probe_for(4, 11);
-    let err = engine_for(4, &with_validation)
+    let err = engine
         .run(
             &mut probe,
             &EngineOptions::default().with_stop_after(Phase::FineDetection),

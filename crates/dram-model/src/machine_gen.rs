@@ -23,7 +23,7 @@
 //! * [`MachineClass::InScope`] — DRAMDig's knowledge assumptions hold and
 //!   the pipeline is expected to recover the mapping exactly;
 //! * [`MachineClass::WideFunction`] — one bank function spans more bits than
-//!   Algorithm 3 enumerates (`max_func_bits`), so the pipeline must *detect*
+//!   Algorithm 3 enumerates (`MAX_FUNC_BITS`), so the pipeline must *detect*
 //!   the failure and report an error rather than return a wrong mapping;
 //! * [`MachineClass::RowRemap`] — the controller permutes row indices with
 //!   an XOR mask. The permutation is invisible to the conflict timing

@@ -97,7 +97,8 @@ pub struct ObservableAnswer {
     /// The binary verdict on the question.
     pub verdict: bool,
     /// Calibrated probability in `[0, 1]` that the verdict is correct, given
-    /// the channel's error model (vote count, flip-vulnerability rate, …).
+    /// the channel's error model (per-measurement error rate,
+    /// flip-vulnerability rate, …).
     pub confidence: f64,
 }
 
@@ -162,27 +163,8 @@ pub trait Observable {
     }
 }
 
-/// Exact probability that an `repeat`-vote majority is correct when each
-/// individual vote errs independently with probability `per_vote_error`.
-fn majority_confidence(repeat: u32, per_vote_error: f64) -> f64 {
-    let n = repeat;
-    let majority = n / 2 + 1;
-    // Sum P(k wrong votes) over k >= majority; binomial coefficients built
-    // incrementally to stay exact for the small vote counts used here.
-    let mut wrong = 0.0f64;
-    let mut binom = 1.0f64; // C(n, 0)
-    for k in 0..=n {
-        if k >= majority {
-            wrong +=
-                binom * per_vote_error.powi(k as i32) * (1.0 - per_vote_error).powi((n - k) as i32);
-        }
-        binom = binom * (n - k) as f64 / (k + 1) as f64;
-    }
-    1.0 - wrong
-}
-
 /// The conflict-timing channel: a [`ConflictOracle`] (probe + calibration +
-/// optional cache + majority voting) behind the [`Observable`] seam.
+/// optional cache) behind the [`Observable`] seam.
 ///
 /// Answers are produced by *exactly* the same oracle calls the pipeline used
 /// before the redesign — one `is_sbdr` per query, in query order — so the
@@ -233,7 +215,7 @@ impl<P: MemoryProbe> Observable for ConflictTimingObservable<P> {
     }
 
     fn answer(&mut self, query: &ObservableQuery) -> Result<ObservableAnswer, ProbeError> {
-        let confidence = majority_confidence(self.oracle.repeat(), Self::PER_VOTE_ERROR);
+        let confidence = 1.0 - Self::PER_VOTE_ERROR;
         match *query {
             ObservableQuery::SameBankDifferentRow { a, b } => Ok(ObservableAnswer {
                 verdict: self.oracle.is_sbdr(a, b),
@@ -301,7 +283,7 @@ mod tests {
         assert!(ch.supports(&q));
         let ans = ch.answer(&q).unwrap();
         assert!(ans.verdict);
-        assert!(ans.confidence > 0.5 && ans.confidence <= 1.0);
+        assert!((ans.confidence - 0.9).abs() < 1e-12, "one measurement");
 
         let eq = ObservableQuery::RowEquality { a, b: same_row };
         assert!(ch.supports(&eq));
@@ -337,14 +319,5 @@ mod tests {
         assert!(cost.elapsed_ns > 0);
         let doubled = cost.merge(&cost);
         assert_eq!(doubled.timing_pairs, 2);
-    }
-
-    #[test]
-    fn majority_confidence_grows_with_votes() {
-        let one = majority_confidence(1, 0.1);
-        let three = majority_confidence(3, 0.1);
-        let five = majority_confidence(5, 0.1);
-        assert!((one - 0.9).abs() < 1e-12);
-        assert!(three > one && five > three && five < 1.0);
     }
 }

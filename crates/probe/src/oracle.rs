@@ -18,7 +18,7 @@ pub struct BatchRecord {
     pub pairs: u32,
     /// Pairs answered from the conflict cache without measuring.
     pub cached: u32,
-    /// Probe measurements issued (uncached pairs times majority votes).
+    /// Probe measurements issued (one per uncached pair).
     pub measured: u32,
 }
 
@@ -28,20 +28,14 @@ pub struct BatchRecord {
 ///
 /// Every reverse-engineering tool in this workspace (DRAMDig and the
 /// baselines) is written against this type, which keeps their measurement
-/// budget accounting in one place. Two optional accelerators sit between the
-/// question and the memory bus:
-///
-/// * a [`ConflictCache`] ([`ConflictOracle::with_cache`]) answers repeated
-///   queries about the same unordered pair without re-timing it;
-/// * early-exit majority voting ([`ConflictOracle::with_early_exit`]) stops a
-///   `repeat`-vote query as soon as one side holds a strict majority — the
-///   outcome is provably identical to counting all votes, only cheaper.
+/// budget accounting in one place. Each query is one measurement compared
+/// against the calibrated threshold; an optional [`ConflictCache`]
+/// ([`ConflictOracle::with_cache`]) answers repeated queries about the same
+/// unordered pair without re-timing it.
 #[derive(Debug)]
 pub struct ConflictOracle<P> {
     probe: P,
     calibration: LatencyCalibration,
-    repeat: u32,
-    early_exit: bool,
     cache: Option<ConflictCache>,
     batch_log: Option<Vec<BatchRecord>>,
 }
@@ -52,28 +46,9 @@ impl<P: MemoryProbe> ConflictOracle<P> {
         ConflictOracle {
             probe,
             calibration,
-            repeat: 1,
-            early_exit: false,
             cache: None,
             batch_log: None,
         }
-    }
-
-    /// Repeats each query `repeat` times and takes a majority vote — used by
-    /// tools that want extra robustness at the cost of more measurements.
-    pub fn with_repeat(mut self, repeat: u32) -> Self {
-        assert!(repeat >= 1, "repeat must be at least 1");
-        self.repeat = repeat;
-        self
-    }
-
-    /// Stops a majority vote as soon as either side reaches a strict
-    /// majority of `repeat`. The decision is identical to counting every
-    /// vote; only the measurement count shrinks (e.g. 2 instead of 3 when
-    /// the first two of three votes agree).
-    pub fn with_early_exit(mut self, early_exit: bool) -> Self {
-        self.early_exit = early_exit;
-        self
     }
 
     /// Attaches a [`ConflictCache`] of the given capacity so repeated
@@ -99,11 +74,6 @@ impl<P: MemoryProbe> ConflictOracle<P> {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
         }
-    }
-
-    /// The configured number of majority votes per query.
-    pub fn repeat(&self) -> u32 {
-        self.repeat
     }
 
     /// The calibration in use.
@@ -163,30 +133,6 @@ impl<P: MemoryProbe> ConflictOracle<P> {
         self.probe.measure_pair(a, b)
     }
 
-    /// Runs the (possibly early-exiting) majority vote for one pair.
-    fn vote(&mut self, a: PhysAddr, b: PhysAddr) -> bool {
-        if self.repeat == 1 {
-            let lat = self.probe.measure_pair(a, b);
-            return self.calibration.is_conflict(lat);
-        }
-        let majority = self.repeat / 2 + 1;
-        let mut yes = 0u32;
-        let mut no = 0u32;
-        for _ in 0..self.repeat {
-            if self.calibration.is_conflict(self.probe.measure_pair(a, b)) {
-                yes += 1;
-            } else {
-                no += 1;
-            }
-            if self.early_exit && (yes >= majority || no >= majority) {
-                break;
-            }
-        }
-        // `yes >= majority` is exactly `yes * 2 > repeat` once all votes are
-        // in, and the early exit only fires when one side is already there.
-        yes >= majority
-    }
-
     /// Returns `true` if `a` and `b` are observed to be in the same bank but
     /// different rows (high latency / row-buffer conflict).
     pub fn is_sbdr(&mut self, a: PhysAddr, b: PhysAddr) -> bool {
@@ -195,7 +141,7 @@ impl<P: MemoryProbe> ConflictOracle<P> {
                 return cached;
             }
         }
-        let verdict = self.vote(a, b);
+        let verdict = self.calibration.is_conflict(self.probe.measure_pair(a, b));
         if let Some(cache) = &mut self.cache {
             cache.record(a, b, verdict);
         }
@@ -206,60 +152,36 @@ impl<P: MemoryProbe> ConflictOracle<P> {
     /// input order.
     ///
     /// Cached pairs are answered for free; the uncached remainder goes to
-    /// the probe through [`MemoryProbe::measure_pairs`] in one batch. A
-    /// majority-vote oracle repeats each uncached pair `repeat` times
-    /// *consecutively* inside that batch and votes over each chunk of
-    /// latencies — the measurement order and count are identical to the
+    /// the probe through [`MemoryProbe::measure_pairs`] in one batch, in
+    /// input order — the measurement order and count are identical to the
     /// per-pair [`ConflictOracle::is_sbdr`] loop, so checkpointed runs and
-    /// golden scoreboards see the same stream. Only an early-exiting vote
-    /// (inherently sequential: the next measurement depends on the tally so
-    /// far) falls back to pair-at-a-time voting.
+    /// golden scoreboards see the same stream.
     ///
     /// The calibration threshold is read once per batch instead of once per
     /// pair; each latency is then a plain compare.
     pub fn are_sbdr(&mut self, pairs: &[(PhysAddr, PhysAddr)]) -> Vec<bool> {
-        if self.repeat != 1 && self.early_exit {
-            let before = self.batch_log.is_some().then(|| self.stats());
-            let verdicts: Vec<bool> = pairs.iter().map(|&(a, b)| self.is_sbdr(a, b)).collect();
-            if let Some(before) = before {
-                let after = self.stats();
-                let record = BatchRecord {
-                    pairs: pairs.len() as u32,
-                    cached: (after.cache_hits - before.cache_hits) as u32,
-                    measured: (after.measurements - before.measurements) as u32,
-                };
-                self.batch_log.as_mut().expect("log enabled").push(record);
-            }
-            return verdicts;
-        }
         let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(pairs.len());
-        let mut to_measure: Vec<(usize, (PhysAddr, PhysAddr))> = Vec::new();
+        let mut to_measure: Vec<usize> = Vec::new();
+        let mut batch: Vec<(PhysAddr, PhysAddr)> = Vec::new();
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let cached = self.cache.as_mut().and_then(|cache| cache.lookup(a, b));
             verdicts.push(cached);
             if cached.is_none() {
-                to_measure.push((i, (a, b)));
+                to_measure.push(i);
+                batch.push((a, b));
             }
-        }
-        let repeat = self.repeat as usize;
-        let mut batch: Vec<(PhysAddr, PhysAddr)> =
-            Vec::with_capacity(to_measure.len().saturating_mul(repeat));
-        for &(_, pair) in &to_measure {
-            batch.extend(std::iter::repeat_n(pair, repeat));
         }
         let latencies = self.probe.measure_pairs(&batch);
         if let Some(log) = &mut self.batch_log {
             log.push(BatchRecord {
                 pairs: pairs.len() as u32,
-                cached: (pairs.len() - to_measure.len()) as u32,
+                cached: (pairs.len() - batch.len()) as u32,
                 measured: batch.len() as u32,
             });
         }
         let threshold = self.calibration.threshold_ns();
-        let majority = self.repeat / 2 + 1;
-        for (&(i, (a, b)), votes) in to_measure.iter().zip(latencies.chunks(repeat)) {
-            let yes = votes.iter().filter(|&&lat| lat >= threshold).count() as u32;
-            let verdict = yes >= majority;
+        for ((&i, (a, b)), lat) in to_measure.iter().zip(batch).zip(latencies) {
+            let verdict = lat >= threshold;
             if let Some(cache) = &mut self.cache {
                 cache.record(a, b, verdict);
             }
@@ -309,36 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_vote_with_noise_is_stable() {
-        let mut o = oracle(true).with_repeat(3);
-        let truth = o.probe().machine().ground_truth().clone();
-        let a = truth.to_phys(DramAddress::new(1, 10, 0)).unwrap();
-        let b = truth.to_phys(DramAddress::new(1, 4000, 0)).unwrap();
-        let c = truth.to_phys(DramAddress::new(2, 10, 0)).unwrap();
-        for _ in 0..25 {
-            assert!(o.is_sbdr(a, b));
-            assert!(!o.is_sbdr(a, c));
-        }
-    }
-
-    #[test]
-    fn early_exit_matches_full_vote_and_measures_less() {
-        let truth = oracle(false).probe().machine().ground_truth().clone();
-        let a = truth.to_phys(DramAddress::new(1, 10, 0)).unwrap();
-        let b = truth.to_phys(DramAddress::new(1, 900, 0)).unwrap();
-        let c = truth.to_phys(DramAddress::new(2, 10, 0)).unwrap();
-
-        let mut full = oracle(false).with_repeat(5);
-        let mut early = oracle(false).with_repeat(5).with_early_exit(true);
-        assert_eq!(full.is_sbdr(a, b), early.is_sbdr(a, b));
-        assert_eq!(full.is_sbdr(a, c), early.is_sbdr(a, c));
-        // Noiseless votes agree immediately: 3 measurements per query
-        // instead of 5.
-        assert_eq!(full.stats().measurements, 10);
-        assert_eq!(early.stats().measurements, 6);
-    }
-
-    #[test]
     fn cache_answers_repeat_queries_without_measuring() {
         let mut o = oracle(false).with_cache(1024);
         let truth = o.probe().machine().ground_truth().clone();
@@ -373,36 +265,16 @@ mod tests {
 
     #[test]
     fn batched_queries_without_cache_match_single_queries() {
-        let mut batched = oracle(false);
-        let mut single = oracle(false);
+        // Same noisy machine, same seed: the batch must reproduce the exact
+        // measurement stream of the per-pair loop.
+        let mut batched = oracle(true);
+        let mut single = oracle(true);
         let truth = batched.probe().machine().ground_truth().clone();
         let pairs: Vec<(PhysAddr, PhysAddr)> = (0u32..6)
             .map(|i| {
                 (
                     truth.to_phys(DramAddress::new(i % 4, 3, 0)).unwrap(),
                     truth.to_phys(DramAddress::new(2, 9 + i, 0)).unwrap(),
-                )
-            })
-            .collect();
-        let expected: Vec<bool> = pairs.iter().map(|&(a, b)| single.is_sbdr(a, b)).collect();
-        assert_eq!(batched.are_sbdr(&pairs), expected);
-        assert_eq!(batched.stats().measurements, single.stats().measurements);
-    }
-
-    #[test]
-    fn batched_majority_votes_match_per_pair_voting() {
-        // Same noisy machine, same seed: the flattened batch (each pair
-        // repeated `repeat` times consecutively) must reproduce the exact
-        // measurement stream of the per-pair voting loop, hence identical
-        // verdicts and counts.
-        let mut batched = oracle(true).with_repeat(3).with_cache(64);
-        let mut single = oracle(true).with_repeat(3).with_cache(64);
-        let truth = batched.probe().machine().ground_truth().clone();
-        let pairs: Vec<(PhysAddr, PhysAddr)> = (0u32..8)
-            .map(|i| {
-                (
-                    truth.to_phys(DramAddress::new(i % 4, 7, 0)).unwrap(),
-                    truth.to_phys(DramAddress::new(2, 40 + i, 0)).unwrap(),
                 )
             })
             .collect();
@@ -415,33 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_batches_fall_back_to_sequential_voting() {
-        // An early-exiting vote adapts its measurement count to the tally,
-        // so the batch path must keep the sequential loop.
-        let mut batched = oracle(false).with_repeat(5).with_early_exit(true);
-        let mut single = oracle(false).with_repeat(5).with_early_exit(true);
-        let truth = batched.probe().machine().ground_truth().clone();
-        let a = truth.to_phys(DramAddress::new(1, 10, 0)).unwrap();
-        let b = truth.to_phys(DramAddress::new(1, 900, 0)).unwrap();
-        let c = truth.to_phys(DramAddress::new(2, 10, 0)).unwrap();
-        let expected = vec![single.is_sbdr(a, b), single.is_sbdr(a, c)];
-        assert_eq!(batched.are_sbdr(&[(a, b), (a, c)]), expected);
-        // Noiseless early exit: 3 of 5 votes per pair.
-        assert_eq!(batched.stats().measurements, 6);
-    }
-
-    #[test]
     fn batch_log_records_without_perturbing_measurements() {
         let truth = oracle(false).probe().machine().ground_truth().clone();
         let a = truth.to_phys(DramAddress::new(3, 5, 0)).unwrap();
         let b = truth.to_phys(DramAddress::new(3, 77, 0)).unwrap();
         let c = truth.to_phys(DramAddress::new(5, 5, 0)).unwrap();
 
-        let mut plain = oracle(false).with_repeat(3).with_cache(64);
-        let mut logged = oracle(false)
-            .with_repeat(3)
-            .with_cache(64)
-            .with_batch_log(true);
+        let mut plain = oracle(false).with_cache(64);
+        let mut logged = oracle(false).with_cache(64).with_batch_log(true);
         assert!(
             plain.take_batch_records().is_empty(),
             "disabled log is empty"
@@ -462,25 +315,10 @@ mod tests {
             vec![BatchRecord {
                 pairs: 2,
                 cached: 1,
-                measured: 3,
+                measured: 1,
             }]
         );
         assert!(logged.take_batch_records().is_empty(), "drained");
-
-        // The early-exit fallback path records through stats deltas.
-        let mut early = oracle(false)
-            .with_repeat(5)
-            .with_early_exit(true)
-            .with_batch_log(true);
-        early.are_sbdr(&[(a, b), (a, c)]);
-        assert_eq!(
-            early.take_batch_records(),
-            vec![BatchRecord {
-                pairs: 2,
-                cached: 0,
-                measured: 6,
-            }]
-        );
     }
 
     #[test]
@@ -493,11 +331,5 @@ mod tests {
         o.is_sbdr(a, b);
         o.latency(a, b);
         assert_eq!(o.stats().measurements, before + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "repeat")]
-    fn zero_repeat_rejected() {
-        let _ = oracle(false).with_repeat(0);
     }
 }

@@ -41,7 +41,7 @@ pub enum SpanKind {
     Run,
     /// One engine phase (Calibration through Validation).
     Phase,
-    /// One batched conflict-oracle majority vote.
+    /// One batched conflict-oracle classification.
     OracleBatch,
     /// One observable-channel consultation.
     ObservableQuery,
