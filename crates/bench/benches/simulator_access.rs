@@ -3,8 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use dram_model::{MachineSetting, PhysAddr};
-use dram_sim::{MemoryController, SimConfig};
+use dram_model::{DramAddress, MachineSetting, PhysAddr};
+use dram_sim::{MemoryController, PhysMemory, SimConfig, SimMachine};
+use mem_probe::{rounds_for, MemoryProbe, SimProbe};
+use rowhammer::{hammer_pair, FlipAdjacencyConfig};
 
 fn bench_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("controller_access");
@@ -32,6 +34,57 @@ fn bench_access(c: &mut Criterion) {
     group.finish();
 }
 
+/// `SimProbe::measure_pair` on Table-II machine No.4 under the noiseless,
+/// default and TRR profiles, each with the rounds the scenario evaluation
+/// gives it, over a mix of same-bank (conflicting) and cross-bank pairs;
+/// plus one `hammer_pair` burst of the flip-adjacency channel's length on
+/// the fast rowhammer profile. All of them run the alternating-pair kernel,
+/// which is where the simulator spends its host time.
+fn bench_measure_pair(c: &mut Criterion) {
+    const PAIRS: u32 = 256;
+    let setting = MachineSetting::no4_haswell_ddr3_4g();
+    let truth = setting.mapping().clone();
+    let pairs: Vec<(PhysAddr, PhysAddr)> = (0..PAIRS)
+        .map(|i| {
+            let at = |bank, row| truth.to_phys(DramAddress::new(bank, row, 0)).unwrap();
+            (at(i % 8, 10 + i), at((i / 2) % 8, 600 + i))
+        })
+        .collect();
+    let mut group = c.benchmark_group("measure_pair");
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(u64::from(PAIRS)));
+    for (name, config) in [
+        ("noiseless", SimConfig::noiseless()),
+        ("default", SimConfig::default()),
+        ("trr", SimConfig::trr_noise()),
+    ] {
+        let rounds = rounds_for(&config);
+        let machine = SimMachine::from_setting(&setting, config);
+        let mut probe = SimProbe::new(machine, PhysMemory::full(setting.system.capacity_bytes))
+            .with_rounds(rounds);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &pairs, |b, pairs| {
+            b.iter(|| {
+                let mut total = 0u64;
+                for &(x, y) in pairs {
+                    total += probe.measure_pair(x, y);
+                }
+                std::hint::black_box(total)
+            })
+        });
+    }
+    let iterations = FlipAdjacencyConfig::default().iterations;
+    let mut machine = SimMachine::from_setting(&setting, SimConfig::fast_rowhammer());
+    let (below, above) = (
+        truth.to_phys(DramAddress::new(0, 99, 0)).unwrap(),
+        truth.to_phys(DramAddress::new(0, 101, 0)).unwrap(),
+    );
+    group.throughput(Throughput::Elements(2 * u64::from(iterations)));
+    group.bench_function("hammer_pair_burst", |b| {
+        b.iter(|| hammer_pair(&mut machine, below, above, iterations).len())
+    });
+    group.finish();
+}
+
 fn bench_decode(c: &mut Criterion) {
     let setting = MachineSetting::no6_skylake_ddr4_16g();
     let mapping = setting.mapping().clone();
@@ -46,5 +99,5 @@ fn bench_decode(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_access, bench_decode);
+criterion_group!(benches, bench_access, bench_measure_pair, bench_decode);
 criterion_main!(benches);

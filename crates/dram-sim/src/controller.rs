@@ -181,9 +181,13 @@ impl MemoryController {
     /// - each address is decoded once;
     /// - the two aggressors' activations are counted in locals and flushed
     ///   into the flip model before every refresh and on return;
-    /// - the noise is computed without libm, falling back to the reference
-    ///   formula when a latency lies within a margin of a half-integer
-    ///   (see `noise`).
+    /// - a noisy profile runs in chunks of up to 32 accesses (`noise::CHUNK`):
+    ///   draw the chunk's uniforms, round its noise in vector lanes without
+    ///   libm, then run the row-buffer loop on integers (see `noise`). A
+    ///   refresh inside a chunk may draw (flip sampling), so the kernel
+    ///   rewinds the RNG to the chunk's start, replays the draws of the
+    ///   accesses already made, refreshes and starts a new chunk;
+    /// - a noiseless profile makes no draws and skips the chunks.
     pub fn access_alternating(
         &mut self,
         first: PhysAddr,
@@ -195,72 +199,120 @@ impl MemoryController {
             [first, second].map(|addr| (self.mapping.bank_of(addr), self.array_row(addr)));
         let mut pending = [0u32; 2];
         let timing = self.config.timing;
-        for i in 0..accesses {
-            let slot = (i & 1) as usize;
+        let mut done = 0;
+        if noise::draws(&timing) {
+            let mut chunk = noise::Chunk::new();
+            while done < accesses {
+                let len = (accesses - done).min(noise::CHUNK as u64);
+                let start = self.rng.clone();
+                chunk.draw(&mut self.rng, &timing, len as usize);
+                let made = self.run_accesses(
+                    targets,
+                    &mut pending,
+                    done,
+                    len,
+                    &mut sink,
+                    |lane, quiet| chunk.latency(lane, quiet, &timing),
+                );
+                if made < len {
+                    // A refresh fell due inside the chunk, and it may draw:
+                    // leave the RNG where the reference has it then, after
+                    // the draws of the accesses made so far.
+                    self.rng = start;
+                    chunk.draw(&mut self.rng, &timing, made as usize);
+                }
+                done += made;
+                self.refresh_if_due(targets, &mut pending);
+            }
+        } else {
+            while done < accesses {
+                done += self.run_accesses(
+                    targets,
+                    &mut pending,
+                    done,
+                    accesses - done,
+                    &mut sink,
+                    |_, quiet| quiet.max(1),
+                );
+                self.refresh_if_due(targets, &mut pending);
+            }
+        }
+        self.flush_pressure(targets, &mut pending);
+    }
+
+    /// The reference's refresh check after an access, for the kernel: the
+    /// pending pressure goes into the flip model first.
+    fn refresh_if_due(&mut self, targets: [(u32, u32); 2], pending: &mut [u32; 2]) {
+        if self.stats.elapsed_ns >= self.next_refresh_ns {
+            self.flush_pressure(targets, pending);
+            while self.stats.elapsed_ns >= self.next_refresh_ns {
+                self.refresh();
+            }
+        }
+    }
+
+    /// The kernel's row-buffer loop over at most `len` accesses, the first
+    /// being access number `done` of the burst: row-buffer and TRR state,
+    /// then `latency(lane, quiet)` for the access's noise-free latency
+    /// `quiet`. Returns how many accesses it made: `len`, or fewer when a
+    /// refresh fell due, which the caller then performs. The statistics
+    /// and the refresh deadline stay in locals until it returns.
+    #[inline(always)]
+    fn run_accesses(
+        &mut self,
+        targets: [(u32, u32); 2],
+        pending: &mut [u32; 2],
+        done: u64,
+        len: u64,
+        sink: &mut impl FnMut(u64),
+        latency: impl Fn(usize, u64) -> u64,
+    ) -> u64 {
+        let timing = self.config.timing;
+        let next_refresh_ns = self.next_refresh_ns;
+        let mut stats = self.stats;
+        let mut made = 0;
+        while made < len {
+            let slot = ((done + made) & 1) as usize;
             let (bank, row) = targets[slot];
             let open = &mut self.open_rows[bank as usize];
             let (base, activated) = match *open {
                 Some(open) if open == row => {
-                    self.stats.row_hits += 1;
+                    stats.row_hits += 1;
                     (timing.row_hit_ns, false)
                 }
                 Some(_) => {
-                    self.stats.row_conflicts += 1;
+                    stats.row_conflicts += 1;
                     (timing.row_conflict_ns, true)
                 }
                 None => {
-                    self.stats.row_empty += 1;
+                    stats.row_empty += 1;
                     (timing.row_closed_ns, true)
                 }
             };
             *open = Some(row);
 
-            let mut quiet = base as f64;
+            let mut quiet = base;
             if activated {
                 pending[slot] += 1;
                 if timing.trr_period > 0 {
                     let counter = &mut self.trr_counters[bank as usize];
                     *counter += 1;
                     if counter.is_multiple_of(timing.trr_period) {
-                        quiet += timing.trr_spike_ns as f64;
+                        quiet += timing.trr_spike_ns;
                     }
                 }
             }
-            let latency = self.noisy_latency(quiet);
-
-            self.stats.accesses += 1;
-            self.stats.elapsed_ns += latency;
-            if self.stats.elapsed_ns >= self.next_refresh_ns {
-                self.flush_pressure(targets, &mut pending);
-                while self.stats.elapsed_ns >= self.next_refresh_ns {
-                    self.refresh();
-                }
-            }
+            let latency = latency(made as usize, quiet);
+            stats.accesses += 1;
+            stats.elapsed_ns += latency;
             sink(latency);
+            made += 1;
+            if stats.elapsed_ns >= next_refresh_ns {
+                break;
+            }
         }
-        self.flush_pressure(targets, &mut pending);
-    }
-
-    /// The kernel's noise and rounding for an access whose noise-free
-    /// latency (base plus any TRR spike) is `quiet`: the reference's draws
-    /// in the reference's order, then [`noise::latency`].
-    #[inline]
-    fn noisy_latency(&mut self, quiet: f64) -> u64 {
-        let timing = &self.config.timing;
-        let uniforms = if timing.noise_sigma_ns > 0.0 {
-            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            Some((u1, self.rng.gen::<f64>()))
-        } else {
-            None
-        };
-        let outlier =
-            timing.outlier_probability > 0.0 && self.rng.gen::<f64>() < timing.outlier_probability;
-        noise::latency(
-            quiet,
-            timing.noise_sigma_ns,
-            uniforms,
-            outlier.then_some(timing.outlier_extra_ns as f64),
-        )
+        self.stats = stats;
+        made
     }
 
     /// Moves the kernel's locally counted activations into the flip model.

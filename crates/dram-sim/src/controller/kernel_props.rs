@@ -187,3 +187,69 @@ fn kernel_matches_the_reference_across_refreshes_inside_a_burst() {
         assert_eq!(kernel, reference, "seed {seed}, remap {remap}");
     }
 }
+
+/// Refreshes that sample flips, placed at the seams of the kernel's chunks.
+/// A refresh inside a chunk draws from the RNG after the chunk's uniforms
+/// were already drawn, so the kernel must rewind and replay exactly the
+/// draws of the accesses made before it. The burst (100 accesses, not a
+/// multiple of [`noise::CHUNK`]) follows a reference prefix that loads a
+/// double-sided victim past its flip threshold with the refresh held off;
+/// the refresh deadline is then set to fall right after access `at` of the
+/// burst, for every access: the first, each middle and the last access of
+/// every chunk, including the partial last one.
+#[test]
+fn kernel_matches_the_reference_with_a_refresh_at_each_chunk_seam() {
+    const BURST: u64 = 100;
+    assert_ne!(BURST % noise::CHUNK as u64, 0);
+    for (seed, remap, config) in [
+        (3, false, SimConfig::fast_rowhammer()),
+        (40, true, SimConfig::fast_rowhammer()),
+        (
+            11,
+            false,
+            SimConfig {
+                timing: TimingParams::trr_noise(),
+                ..SimConfig::fast_rowhammer()
+            },
+        ),
+    ] {
+        let mut base = controller(seed, remap, config);
+        let m = base.mapping().clone();
+        let victim = (2..m.num_rows() - 2)
+            .find(|&r| base.flip_model.row_vulnerability(0, r) > 0.3)
+            .unwrap();
+        let logical = |row: u32| base.row_remap.map_or(row, |r| r.apply(row));
+        let at_row = |row: u32| m.to_phys(DramAddress::new(0, logical(row), 0)).unwrap();
+        let (a, b) = (at_row(victim - 1), at_row(victim + 1));
+        base.next_refresh_ns = u64::MAX;
+        for i in 0..6_000 {
+            base.access(if i % 2 == 0 { a } else { b });
+        }
+        // The simulated time after each access of the burst.
+        let mut probe = base.clone();
+        let clock: Vec<u64> = (0..BURST)
+            .map(|i| {
+                probe.access(if i % 2 == 0 { a } else { b });
+                probe.elapsed_ns()
+            })
+            .collect();
+        for at in 0..BURST {
+            let mut timed = base.clone();
+            timed.next_refresh_ns = clock[at as usize];
+            let reference = run(&mut timed.clone(), false, &[], (a, b), BURST);
+            let kernel = run(&mut timed.clone(), true, &[], (a, b), BURST);
+            assert_eq!(
+                reference.stats.refreshes, 1,
+                "seed {seed}, refresh after {at}"
+            );
+            // The refresh inside the burst materialised flips, so it drew.
+            let mut drew = timed.clone();
+            for i in 0..=at {
+                drew.access(if i % 2 == 0 { a } else { b });
+            }
+            assert_eq!(drew.stats().refreshes, 1);
+            assert!(!drew.flips().is_empty(), "seed {seed}, refresh after {at}");
+            assert_eq!(kernel, reference, "seed {seed}, refresh after {at}");
+        }
+    }
+}
