@@ -14,7 +14,7 @@ fn oracle(cache: bool) -> ConflictOracle<SimProbe> {
     let probe = SimProbe::new(machine, PhysMemory::full(setting.system.capacity_bytes));
     let o = ConflictOracle::new(probe, LatencyCalibration::from_threshold(threshold));
     if cache {
-        o.with_cache(1 << 16)
+        o.with_cache(ConflictCache::new(1 << 16))
     } else {
         o
     }
@@ -38,13 +38,17 @@ fn sample_pairs(o: &ConflictOracle<SimProbe>, n: u64) -> Vec<(PhysAddr, PhysAddr
 
 fn bench_cache_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("conflict_cache");
-    group.bench_function("record_and_lookup_1k", |b| {
+    group.bench_function("kept_sweep_then_lookup_1k", |b| {
         b.iter(|| {
             let mut cache = ConflictCache::new(1 << 12);
+            cache.open_sweep();
             for i in 0..1024u64 {
                 let (a, bb) = (PhysAddr::new(i * 64), PhysAddr::new(i * 64 + 4096));
-                cache.record(a, bb, i % 3 == 0);
+                if cache.lookup(a, bb).is_none() {
+                    cache.record(a, bb, i % 3 == 0);
+                }
             }
+            cache.close_sweep(true);
             let mut hits = 0u32;
             for i in 0..1024u64 {
                 let (a, bb) = (PhysAddr::new(i * 64 + 4096), PhysAddr::new(i * 64));
@@ -55,13 +59,16 @@ fn bench_cache_ops(c: &mut Criterion) {
             std::hint::black_box(hits)
         })
     });
-    group.bench_function("eviction_pressure_4k_into_1k", |b| {
+    group.bench_function("log_pressure_4k_into_1k", |b| {
         b.iter(|| {
-            let mut cache = ConflictCache::new(1 << 10);
+            let mut cache = ConflictCache::new(1 << 10).with_log(true);
             for i in 0..4096u64 {
-                cache.record(PhysAddr::new(i), PhysAddr::new(i + 1), i % 2 == 0);
+                let (a, bb) = (PhysAddr::new(i), PhysAddr::new(i + 1));
+                if cache.lookup(a, bb).is_none() {
+                    cache.record(a, bb, i % 2 == 0);
+                }
             }
-            std::hint::black_box(cache.len())
+            std::hint::black_box(cache.entries().count())
         })
     });
     group.finish();

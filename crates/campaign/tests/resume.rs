@@ -271,3 +271,28 @@ fn ablated_jobs_dead_letter_through_the_sim_runner() {
     assert_eq!(status.distinct_mappings, 1);
     std::fs::remove_dir_all(paths.dir()).unwrap();
 }
+
+#[test]
+fn decompose_pairs_asked_again_are_cache_hits() {
+    // Two Table-II jobs whose Decompose partition asks about a pair twice:
+    // m7-s2 re-draws a random learning pair, and m6-s2 falls back to the
+    // exhaustive sweep, which meets pairs Decompose measured. Pinned to the
+    // phase costs of the every-pair FIFO cache; in a debug build the cache's
+    // FIFO twin also checks each of these lookups.
+    for (machine, partition) in [
+        (7, "phase.partition = 75,1875,432825,2,75"),
+        (6, "phase.partition = 610117,15252925,3268723141,242,610117"),
+    ] {
+        let job = JobSpec {
+            machine,
+            seed: 2,
+            profile: Profile::Optimized,
+            ablation: None,
+        };
+        let report = campaign::run_job_sim(&job, 1).unwrap().encode();
+        assert!(
+            report.contains(&format!("\n{partition}\n")),
+            "{job}: {report}"
+        );
+    }
+}

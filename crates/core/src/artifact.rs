@@ -12,11 +12,11 @@
 //! enough to resume a killed run from that boundary with a byte-identical
 //! final [`crate::RecoveryReport`].
 //!
-//! A checkpoint additionally carries a snapshot of the probe's conflict
-//! cache (oldest entry first): the later phases consult the cache for pairs
-//! earlier phases already classified, so restoring it is required for the
-//! resumed measurement stream — and therefore the cost accounting — to match
-//! the uninterrupted run exactly.
+//! Under [`PartitionStrategy::Decompose`](crate::PartitionStrategy) a
+//! checkpoint also carries the conflict cache's replay log (`cache.N`
+//! lines, oldest entry first): validation replays it, so restoring it is
+//! required for the resumed report to match the uninterrupted run exactly.
+//! Other runs write no `cache.N` lines, and a resume ignores any it finds.
 //!
 //! Every encoded checkpoint, and the stored `config.txt`, ends with a
 //! `checksum = fnv1a:<16 hex>` line, the FNV-1a hash of the bytes before it.
@@ -96,7 +96,7 @@ impl PhaseArtifact {
 }
 
 /// Everything the engine persists when a phase completes: the phase, its
-/// measured cost, its artifact and the conflict-cache snapshot at the
+/// measured cost, its artifact and the conflict cache's replay log at the
 /// boundary (as `(low_addr, high_addr, is_conflict)`, oldest first).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseCheckpoint {
@@ -106,27 +106,12 @@ pub struct PhaseCheckpoint {
     pub costs: PhaseCosts,
     /// What the phase produced.
     pub artifact: PhaseArtifact,
-    /// The conflict cache at the phase boundary, oldest entry first.
+    /// The conflict cache's replay log at the phase boundary, oldest entry
+    /// first (empty unless the run keeps one).
     pub cache: Vec<(u64, u64, bool)>,
 }
 
 const INFALLIBLE: &str = "writing to a String cannot fail";
-
-/// Appends the decimal digits of `value` — what `{value}` formats to,
-/// without the formatting machinery, which dominates a large cache snapshot.
-fn push_u64(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
-}
 
 /// Appends `items` to `out`, comma-separated, without a per-item `String`.
 fn write_list(out: &mut String, items: impl IntoIterator<Item = u64>) {
@@ -134,7 +119,7 @@ fn write_list(out: &mut String, items: impl IntoIterator<Item = u64>) {
         if i > 0 {
             out.push(',');
         }
-        push_u64(out, item);
+        write!(out, "{item}").expect(INFALLIBLE);
     }
 }
 
@@ -168,8 +153,7 @@ fn decode_u64_list(line: usize, key: &str, value: &str) -> Result<Vec<u64>, Code
 }
 
 fn write_basis(out: &mut String, basis: &PileBasis) {
-    push_u64(out, basis.pivot());
-    out.push(';');
+    write!(out, "{};", basis.pivot()).expect(INFALLIBLE);
     write_list(out, basis.rows().iter().copied());
 }
 
@@ -292,11 +276,7 @@ pub(crate) fn encode_checkpoint(
         }
     }
     for (i, (a, b, verdict)) in cache.iter().enumerate() {
-        out.push_str("cache.");
-        push_u64(&mut out, i as u64);
-        out.push_str(" = ");
-        write_list(&mut out, [*a, *b, u64::from(*verdict)]);
-        out.push('\n');
+        writeln!(out, "cache.{i} = {a},{b},{}", u8::from(*verdict)).expect(INFALLIBLE);
     }
     let trailer = trailer_for(&out);
     out.push_str(&trailer);

@@ -53,9 +53,11 @@ pub struct DramDigConfig {
     /// Seed for the tool's internal randomness (base-address choices, pivot
     /// selection). Two runs with the same seed and probe behave identically.
     pub rng_seed: u64,
-    /// Capacity of the pair-keyed SBDR classification cache attached to the
-    /// conflict oracle, so no stage ever re-times a pair another stage (or a
-    /// rejected pivot attempt) already classified. `None` disables caching.
+    /// Window of the pair-keyed SBDR classification cache attached to the
+    /// conflict oracle: a pair its phase already classified (outside an
+    /// accepted pile's sweep) is not re-timed while fewer than this many
+    /// classifications followed it, and Decompose validation replays the
+    /// last this many. `None` disables caching.
     pub probe_cache_capacity: Option<usize>,
     /// Which measurement path the run takes (see [`PartitionStrategy`]).
     pub strategy: PartitionStrategy,

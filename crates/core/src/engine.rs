@@ -22,7 +22,7 @@
 //! pure function of its inputs: the engine derives a fresh RNG per phase
 //! from the configured seed and a phase-unique salt, forwards the same salt
 //! to [`MemoryProbe::begin_phase`] so the probe re-aligns its noise stream,
-//! and snapshots/restores the conflict cache across the boundary.
+//! and snapshots/restores the conflict cache's replay log at the boundary.
 //!
 //! # Example
 //!
@@ -65,8 +65,8 @@ use rand::SeedableRng;
 use dram_model::{AddressMapping, DramAddress, PhysAddr};
 use dram_sim::PhysMemory;
 use mem_probe::{
-    ConflictOracle, LatencyCalibration, MemoryProbe, Observable, ObservableCost, ObservableKind,
-    ObservableQuery, ProbeError,
+    ConflictCache, ConflictOracle, LatencyCalibration, MemoryProbe, Observable, ObservableCost,
+    ObservableKind, ObservableQuery, ProbeError,
 };
 
 use crate::artifact::{
@@ -740,7 +740,8 @@ impl PipelineEngine {
         let mut oracle = ConflictOracle::new(&mut *probe, LatencyCalibration::from_threshold(0))
             .with_batch_log(options.fine_events);
         if let Some(capacity) = self.config.probe_cache_capacity {
-            oracle = oracle.with_cache(capacity);
+            let validation_replays = self.config.strategy == PartitionStrategy::Decompose;
+            oracle = oracle.with_cache(ConflictCache::new(capacity).with_log(validation_replays));
         }
 
         observer.on_event(&EngineEvent::RunStarted {
@@ -752,7 +753,7 @@ impl PipelineEngine {
         let mut phase_costs: Vec<(Phase, PhaseCosts)> = Vec::new();
 
         // Replay the restored prefix: artifacts into the state, the last
-        // cache snapshot into the oracle, costs into the ledger.
+        // replay log into the cache, costs into the ledger.
         let resumed = restored.len();
         let mut last_cache = Vec::new();
         for record in restored {
@@ -815,6 +816,10 @@ impl PipelineEngine {
             }
 
             observer.on_event(&EngineEvent::PhaseStarted { phase });
+            // Phase-local memo: a resumed run holds what a straight run does.
+            if let Some(cache) = oracle.cache_mut() {
+                cache.forget();
+            }
             let salt = PHASE_SALTS[index];
             let mut rng = StdRng::seed_from_u64(self.config.rng_seed ^ salt);
             oracle.probe_mut().begin_phase(salt);

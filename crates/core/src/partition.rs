@@ -158,6 +158,9 @@ pub fn partition_into_piles<P: MemoryProbe>(
         // an accepted pile is one linear pass (the pool holds each address
         // once, so marking positions removes exactly the members).
         let mut joined = vec![false; remaining.len()];
+        if let Some(cache) = oracle.cache_mut() {
+            cache.open_sweep();
+        }
         for (slot, &other) in joined.iter_mut().zip(&remaining) {
             if other == pivot {
                 *slot = true;
@@ -166,7 +169,12 @@ pub fn partition_into_piles<P: MemoryProbe>(
                 members.push(other);
             }
         }
-        if members.len() >= min_sz && members.len() <= max_sz {
+        let accepted = members.len() >= min_sz && members.len() <= max_sz;
+        // Only a rejected pivot's pairs can be asked about again.
+        if let Some(cache) = oracle.cache_mut() {
+            cache.close_sweep(!accepted);
+        }
+        if accepted {
             let mut marks = joined.iter();
             remaining.retain(|_| !marks.next().expect("one mark per address"));
             assigned += members.len();

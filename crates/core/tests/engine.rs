@@ -3,18 +3,18 @@
 //! `RecoveryReport` byte-identical to an uninterrupted run, repaying none of
 //! the already-checkpointed measurements.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use dram_model::MachineSetting;
+use dram_model::{GeneratedMachine, MachineClass, MachineGen, MachineSetting};
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
 use dramdig::engine::{Budget, EngineEvent, EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{
-    CheckpointStore, DomainKnowledge, DramDig, DramDigConfig, DramDigError, Phase, PhaseArtifact,
-    RecoveryReport, RunReport,
+    CheckpointStore, DomainKnowledge, DramDig, DramDigConfig, DramDigError, PartitionStrategy,
+    Phase, PhaseArtifact, PhaseCosts, RecoveryReport, RunReport,
 };
 use mem_probe::{MemoryProbe, SimProbe};
 
@@ -131,7 +131,7 @@ fn kill_at_every_boundary_resumes_byte_identically() {
 #[test]
 fn optimized_profile_with_cache_and_kernel_resumes_byte_identically() {
     // The optimized profile exercises the checkpointed kernel basis, the
-    // conflict-cache snapshot and cache-backed validation.
+    // conflict cache's replay log and cache-backed validation.
     let config = DramDigConfig::optimized();
     let straight = straight_run(4, &config, 7);
     let straight_encoded = RecoveryReport::from(&straight).encode();
@@ -488,12 +488,105 @@ proptest! {
     }
 }
 
+/// The simulator profiles of the generated-machine property: no noise, the
+/// default noise, the TRR sampler and an elevated outlier rate.
+fn noise_profile(pick: usize) -> SimConfig {
+    match pick {
+        0 => SimConfig::noiseless(),
+        1 => SimConfig::default(),
+        2 => SimConfig::trr_noise(),
+        _ => {
+            let mut config = SimConfig::default();
+            config.timing.outlier_probability = 0.05;
+            config
+        }
+    }
+}
+
+/// What a caller can compare of a run: the report text and the per-phase
+/// costs, or the error text.
+type Outcome = Result<(String, Vec<(Phase, PhaseCosts)>), String>;
+
+/// Runs `config` on a fresh probe of `machine` under `sim`, with one
+/// invocation per phase when `dir` is given: each stops after the next
+/// phase and the following one resumes from the checkpoints in `dir`.
+fn generated_run(
+    machine: &GeneratedMachine,
+    sim: &SimConfig,
+    config: &DramDigConfig,
+    dir: Option<&Path>,
+) -> Outcome {
+    let engine = PipelineEngine::new(DomainKnowledge::for_generated(machine), config.clone());
+    let run = |options: &EngineOptions| {
+        let machine_sim = SimMachine::from_generated(machine, sim.clone());
+        let mut probe = SimProbe::new(machine_sim, PhysMemory::full(machine.system.capacity_bytes));
+        engine.run(&mut probe, options, &mut NullObserver)
+    };
+    let result = match dir {
+        None => run(&EngineOptions::default()),
+        Some(dir) => Phase::ALL
+            .into_iter()
+            .map(|phase| {
+                run(&EngineOptions::default()
+                    .with_checkpoint(dir)
+                    .with_stop_after(phase))
+            })
+            .find(|result| !matches!(result, Err(DramDigError::Interrupted { .. })))
+            .expect("stopping after the last phase completes the run"),
+    };
+    result
+        .map(|report| (RecoveryReport::from(&report).encode(), report.phase_costs))
+        .map_err(|error| error.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Generated in-scope and row-remapped machines, four noise profiles,
+    /// both partition strategies and cache windows from 64 pairs to the
+    /// default: a run stopped and resumed at every phase boundary ends like
+    /// the straight run, report text and per-phase costs alike. In a debug
+    /// build the conflict cache also answers every lookup through its FIFO
+    /// twin, so these runs check the sweep memo and the replay log against
+    /// the every-pair FIFO, evictions included.
+    #[test]
+    fn generated_runs_resumed_at_every_boundary_match_straight_runs(
+        gen_seed in 0u64..1_000_000,
+        remap in any::<bool>(),
+        noise in 0usize..4,
+        decompose in any::<bool>(),
+        small_window in any::<bool>(),
+        window in 64usize..=4096,
+    ) {
+        let class = if remap { MachineClass::RowRemap } else { MachineClass::InScope };
+        let machine = MachineGen::new(gen_seed).generate(class);
+        let sim = noise_profile(noise).with_seed(gen_seed ^ 0x5EED);
+        let config = DramDigConfig {
+            strategy: if decompose {
+                PartitionStrategy::Decompose
+            } else {
+                PartitionStrategy::Exhaustive
+            },
+            probe_cache_capacity: Some(if small_window {
+                window
+            } else {
+                mem_probe::DEFAULT_CACHE_CAPACITY
+            }),
+            ..DramDigConfig::fast().with_seed(gen_seed)
+        };
+        let dir = temp_dir(&format!("gen-{gen_seed}-{noise}-{decompose}-{window}"));
+        let straight = generated_run(&machine, &sim, &config, None);
+        let resumed = generated_run(&machine, &sim, &config, Some(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(resumed, straight, "{} under {:?}", machine, config);
+    }
+}
+
 /// The partition checkpoint of a small generated job (a 512-address
 /// Decompose pool), pinned byte for byte: the encoder's output format is
 /// what resumes and the perf benchmark's `core.checkpoint.bytes` read.
 #[test]
 fn partition_checkpoint_text_is_pinned() {
-    use dram_model::{MachineClass, MachineGen};
     let machine = MachineGen::new(4).generate(MachineClass::InScope);
     assert_eq!(machine.mapping().bank_function_bits().len(), 9, "{machine}");
     let config = DramDigConfig::optimized().with_seed(5);

@@ -41,6 +41,9 @@ pub struct MemoryController {
     /// Per-bank activation counters driving the TRR-like periodic noise
     /// (see [`crate::TimingParams::trr_period`]).
     trr_counters: Vec<u64>,
+    /// The kernel's noise buffer: a lane the (fixed) timing never draws
+    /// keeps its fill from [`noise::Chunk::new`].
+    chunk: noise::Chunk,
 }
 
 impl MemoryController {
@@ -56,6 +59,7 @@ impl MemoryController {
             next_refresh_ns: config.refresh_interval_ns,
             row_remap: None,
             trr_counters: vec![0; banks],
+            chunk: noise::Chunk::new(),
             mapping,
             config,
         }
@@ -201,25 +205,24 @@ impl MemoryController {
         let timing = self.config.timing;
         let mut done = 0;
         if noise::draws(&timing) {
-            let mut chunk = noise::Chunk::new();
             while done < accesses {
                 let len = (accesses - done).min(noise::CHUNK as u64);
                 let start = self.rng.clone();
-                chunk.draw(&mut self.rng, &timing, len as usize);
+                self.chunk.draw(&mut self.rng, &timing, len as usize);
                 let made = self.run_accesses(
                     targets,
                     &mut pending,
                     done,
                     len,
                     &mut sink,
-                    |lane, quiet| chunk.latency(lane, quiet, &timing),
+                    |chunk, lane, quiet| chunk.latency(lane, quiet, &timing),
                 );
                 if made < len {
                     // A refresh fell due inside the chunk, and it may draw:
                     // leave the RNG where the reference has it then, after
                     // the draws of the accesses made so far.
                     self.rng = start;
-                    chunk.draw(&mut self.rng, &timing, made as usize);
+                    self.chunk.draw(&mut self.rng, &timing, made as usize);
                 }
                 done += made;
                 self.refresh_if_due(targets, &mut pending);
@@ -232,7 +235,7 @@ impl MemoryController {
                     done,
                     accesses - done,
                     &mut sink,
-                    |_, quiet| quiet.max(1),
+                    |_, _, quiet| quiet.max(1),
                 );
                 self.refresh_if_due(targets, &mut pending);
             }
@@ -253,8 +256,8 @@ impl MemoryController {
 
     /// The kernel's row-buffer loop over at most `len` accesses, the first
     /// being access number `done` of the burst: row-buffer and TRR state,
-    /// then `latency(lane, quiet)` for the access's noise-free latency
-    /// `quiet`. Returns how many accesses it made: `len`, or fewer when a
+    /// then `latency(chunk, lane, quiet)` for the access's noise-free
+    /// latency `quiet`, with the controller's noise buffer as `chunk`. Returns how many accesses it made: `len`, or fewer when a
     /// refresh fell due, which the caller then performs. The statistics
     /// and the refresh deadline stay in locals until it returns.
     #[inline(always)]
@@ -265,7 +268,7 @@ impl MemoryController {
         done: u64,
         len: u64,
         sink: &mut impl FnMut(u64),
-        latency: impl Fn(usize, u64) -> u64,
+        latency: impl Fn(&noise::Chunk, usize, u64) -> u64,
     ) -> u64 {
         let timing = self.config.timing;
         let next_refresh_ns = self.next_refresh_ns;
@@ -302,7 +305,7 @@ impl MemoryController {
                     }
                 }
             }
-            let latency = latency(made as usize, quiet);
+            let latency = latency(&self.chunk, made as usize, quiet);
             stats.accesses += 1;
             stats.elapsed_ns += latency;
             sink(latency);

@@ -168,6 +168,7 @@ pub(crate) fn draws(timing: &TimingParams) -> bool {
 
 /// The noise of up to [`CHUNK`] consecutive accesses: the uniforms each
 /// drew (pass one) and its lane from [`round_lanes`] (pass two).
+#[derive(Debug, Clone)]
 pub(crate) struct Chunk {
     u1: [f64; CHUNK],
     u2: [f64; CHUNK],

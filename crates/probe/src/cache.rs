@@ -1,40 +1,31 @@
-//! A bounded, pair-keyed cache of SBDR classifications.
+//! A pair-keyed cache of SBDR classifications that keeps only what is read
+//! again: every classification except those of a sweep its caller drops
+//! (Algorithm 2 drops an accepted pile's sweep, whose pairs all leave the
+//! pool), until the engine empties it at the next phase boundary. For
+//! Decompose validation it can also log the latest classifications.
 //!
-//! The DRAMDig pipeline asks the same binary question — *are these two
-//! addresses in the same bank but different rows?* — about overlapping pair
-//! sets across Algorithm 2, the coarse stage and the fine stage, and again
-//! whenever a pivot attempt is rejected and retried. Re-timing a pair the
-//! probe has already classified buys no new information, so the
-//! [`ConflictOracle`](crate::ConflictOracle) can consult a [`ConflictCache`]
-//! before touching the memory bus.
-//!
-//! The cache is **symmetric** (the pair `(a, b)` and the pair `(b, a)` hit
-//! the same entry, because the alternating access pattern is order-blind) and
-//! **bounded**: once `capacity` entries are stored, the oldest entry is
-//! evicted FIFO. Eviction only ever *forgets* a classification — a later
-//! lookup misses and the pair is re-measured — it can never return a wrong
-//! answer for a different pair.
+//! Every answer equals that of a bounded FIFO of every classification,
+//! which holds the last `capacity` inserts (lookups never reorder): a
+//! memoised pair hits iff fewer than `capacity` inserts followed its own.
+//! Debug builds also drive that FIFO and assert that both answer alike.
 
 use std::collections::{HashMap, VecDeque};
 
 use dram_model::PhysAddr;
 
-/// Default number of pair classifications kept (≈ 48 MiB worst case, far
-/// beyond what one pipeline run produces).
+/// Default number of latest classifications a lookup can reach.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-/// Symmetric canonical key of an unordered address pair.
-fn key(a: PhysAddr, b: PhysAddr) -> (u64, u64) {
+type Key = (u64, u64);
+
+/// Symmetric key of an unordered pair (alternating accesses are order-blind).
+fn key(a: PhysAddr, b: PhysAddr) -> Key {
     let (x, y) = (a.raw(), b.raw());
-    if x <= y {
-        (x, y)
-    } else {
-        (y, x)
-    }
+    (x.min(y), x.max(y))
 }
 
-/// A bounded FIFO cache mapping unordered address pairs to their SBDR
-/// classification, with hit/miss accounting.
+/// Memoised and optionally logged classifications of unordered address
+/// pairs, with hit/miss accounting.
 ///
 /// ```
 /// use dram_model::PhysAddr;
@@ -45,20 +36,24 @@ fn key(a: PhysAddr, b: PhysAddr) -> (u64, u64) {
 /// assert_eq!(cache.lookup(a, b), None);
 /// cache.record(a, b, true);
 /// assert_eq!(cache.lookup(b, a), Some(true)); // symmetric
-/// assert_eq!(cache.hits(), 1);
-/// assert_eq!(cache.misses(), 1);
+/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ConflictCache {
-    map: HashMap<(u64, u64), bool>,
-    order: VecDeque<(u64, u64)>,
     capacity: usize,
     hits: u64,
     misses: u64,
+    /// Classifications recorded so far, which numbers each one.
+    inserts: u64,
+    memo: HashMap<Key, (u64, bool)>,
+    sweep: Option<Vec<(Key, (u64, bool))>>,
+    log: Option<VecDeque<(Key, bool)>>,
+    #[cfg(debug_assertions)]
+    twin: twin::Fifo,
 }
 
 impl ConflictCache {
-    /// Creates a cache holding at most `capacity` pair classifications.
+    /// A cache whose lookups reach the latest `capacity` classifications.
     ///
     /// # Panics
     ///
@@ -67,18 +62,29 @@ impl ConflictCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         ConflictCache {
-            map: HashMap::with_capacity(capacity.min(4096)),
-            order: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            hits: 0,
-            misses: 0,
+            ..ConflictCache::default()
         }
     }
 
-    /// Looks up the classification of an unordered pair, counting the access
-    /// as a hit or miss.
+    /// Also logs the latest `capacity` classifications, in order, for
+    /// [`ConflictCache::entries`] if `on`.
+    #[must_use]
+    pub fn with_log(mut self, on: bool) -> Self {
+        self.log = on.then(VecDeque::new);
+        self
+    }
+
+    /// Looks up an unordered pair, counting a hit or a miss.
     pub fn lookup(&mut self, a: PhysAddr, b: PhysAddr) -> Option<bool> {
-        let found = self.map.get(&key(a, b)).copied();
+        let k = key(a, b);
+        let found = self
+            .memo
+            .get(&k)
+            .filter(|&&(seq, _)| self.inserts - seq < self.capacity as u64)
+            .map(|&(_, verdict)| verdict);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(found, self.twin.get(k), "memo and FIFO disagree on {k:?}");
         if found.is_some() {
             self.hits += 1;
         } else {
@@ -87,53 +93,67 @@ impl ConflictCache {
         found
     }
 
-    /// Looks up the classification without touching the hit/miss counters
-    /// (used by read-only consumers such as the validation pass).
-    #[must_use]
-    pub fn peek(&self, a: PhysAddr, b: PhysAddr) -> Option<bool> {
-        self.map.get(&key(a, b)).copied()
-    }
-
-    /// Records the classification of an unordered pair, evicting the oldest
-    /// entry when the cache is full.
+    /// Records the classification of a pair that is not cached.
     pub fn record(&mut self, a: PhysAddr, b: PhysAddr, is_conflict: bool) {
         let k = key(a, b);
-        if self.map.insert(k, is_conflict).is_none() {
-            if self.map.len() > self.capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.map.remove(&oldest);
-                }
+        self.inserts += 1;
+        match &mut self.sweep {
+            Some(sweep) => sweep.push((k, (self.inserts, is_conflict))),
+            None => self.remember([(k, (self.inserts, is_conflict))]),
+        }
+        if let Some(log) = &mut self.log {
+            log.push_back((k, is_conflict));
+            if log.len() > self.capacity {
+                log.pop_front();
             }
-            self.order.push_back(k);
+        }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.twin.record(k, is_conflict, self.capacity),
+            "{k:?} is cached"
+        );
+    }
+
+    /// Holds back what is recorded until [`ConflictCache::close_sweep`].
+    pub fn open_sweep(&mut self) {
+        self.sweep = Some(Vec::new());
+    }
+
+    /// Ends the open sweep, memoising its classifications if `keep`.
+    pub fn close_sweep(&mut self, keep: bool) {
+        if let Some(sweep) = self.sweep.take().filter(|_| keep) {
+            self.remember(sweep);
         }
     }
 
-    /// Iterates over the cached classifications as
-    /// `((low_addr, high_addr), is_conflict)` triples, oldest first.
+    fn remember(&mut self, entries: impl IntoIterator<Item = (Key, (u64, bool))>) {
+        self.memo.extend(entries);
+        // Pairs that left the window never hit again: drop them once the
+        // memo outgrows twice the window.
+        if self.memo.len() > 2 * self.capacity {
+            let (inserts, capacity) = (self.inserts, self.capacity as u64);
+            self.memo
+                .retain(|_, &mut (seq, _)| inserts - seq < capacity);
+        }
+    }
+
+    /// Forgets every memoised classification.
+    pub fn forget(&mut self) {
+        self.memo = HashMap::new();
+    }
+
+    /// The logged classifications as `((low, high), is_conflict)`, oldest
+    /// first (none without [`with_log`](ConflictCache::with_log)).
     pub fn entries(&self) -> impl Iterator<Item = ((PhysAddr, PhysAddr), bool)> + '_ {
-        self.order.iter().filter_map(|k| {
-            self.map
-                .get(k)
-                .map(|&v| ((PhysAddr::new(k.0), PhysAddr::new(k.1)), v))
-        })
-    }
-
-    /// Number of pairs currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` if no pair is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The maximum number of pairs the cache retains.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        #[cfg(debug_assertions)]
+        if let Some(log) = &self.log {
+            debug_assert!(
+                log.iter().map(|e| e.0).eq(self.twin.order()),
+                "log and FIFO differ"
+            );
+        }
+        let log = self.log.iter().flatten();
+        log.map(|&((a, b), verdict)| ((PhysAddr::new(a), PhysAddr::new(b)), verdict))
     }
 
     /// Number of lookups answered from the cache.
@@ -147,11 +167,41 @@ impl ConflictCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
 
-    /// Drops every cached classification (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+/// The bounded FIFO of every classification that the memo and the log
+/// replace, kept in debug builds as their differential twin.
+#[cfg(debug_assertions)]
+mod twin {
+    use std::collections::{HashMap, VecDeque};
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Fifo {
+        map: HashMap<super::Key, bool>,
+        order: VecDeque<super::Key>,
+    }
+
+    impl Fifo {
+        pub(super) fn get(&self, k: super::Key) -> Option<bool> {
+            self.map.get(&k).copied()
+        }
+
+        /// Inserts `k` unless present, evicting beyond `capacity`; returns
+        /// whether it inserted.
+        pub(super) fn record(&mut self, k: super::Key, verdict: bool, capacity: usize) -> bool {
+            let inserted = self.map.insert(k, verdict).is_none();
+            if inserted {
+                self.order.push_back(k);
+                if self.order.len() > capacity {
+                    self.map.remove(&self.order.pop_front().unwrap());
+                }
+            }
+            inserted
+        }
+
+        pub(super) fn order(&self) -> impl Iterator<Item = super::Key> + '_ {
+            self.order.iter().copied()
+        }
     }
 }
 
@@ -163,66 +213,83 @@ mod tests {
         PhysAddr::new(raw)
     }
 
+    /// One lookup, recording `verdict` on a miss, as the oracle does.
+    fn classify(c: &mut ConflictCache, a: u64, b: u64, verdict: bool) -> Option<bool> {
+        let found = c.lookup(pa(a), pa(b));
+        if found.is_none() {
+            c.record(pa(a), pa(b), verdict);
+        }
+        found
+    }
+
     #[test]
     fn symmetric_lookup_and_record() {
         let mut c = ConflictCache::new(8);
-        c.record(pa(10), pa(20), true);
-        assert_eq!(c.lookup(pa(20), pa(10)), Some(true));
-        c.record(pa(30), pa(5), false);
-        assert_eq!(c.peek(pa(5), pa(30)), Some(false));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 0);
+        c.open_sweep();
+        classify(&mut c, 20, 10, true);
+        classify(&mut c, 30, 5, false);
+        c.close_sweep(true);
+        assert_eq!(c.lookup(pa(10), pa(20)), Some(true));
+        assert_eq!(c.lookup(pa(5), pa(30)), Some(false));
+        assert_eq!((c.hits(), c.misses()), (2, 2));
     }
 
     #[test]
     fn fifo_eviction_forgets_oldest() {
         let mut c = ConflictCache::new(2);
-        c.record(pa(1), pa(2), true);
-        c.record(pa(3), pa(4), true);
-        c.record(pa(5), pa(6), false); // evicts (1, 2)
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(pa(1), pa(2)), None);
-        assert_eq!(c.peek(pa(3), pa(4)), Some(true));
-        assert_eq!(c.peek(pa(5), pa(6)), Some(false));
+        c.open_sweep();
+        classify(&mut c, 1, 2, true);
+        c.close_sweep(true);
+        classify(&mut c, 3, 4, true);
+        assert_eq!(c.lookup(pa(1), pa(2)), Some(true), "one insert later");
+        classify(&mut c, 5, 6, false);
+        assert_eq!(c.lookup(pa(1), pa(2)), None, "two inserts later: evicted");
     }
 
     #[test]
     fn re_recording_does_not_duplicate_or_evict() {
-        let mut c = ConflictCache::new(2);
-        c.record(pa(1), pa(2), true);
-        c.record(pa(2), pa(1), true); // same unordered pair
-        c.record(pa(3), pa(4), false);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(pa(1), pa(2)), Some(true));
-        assert_eq!(c.peek(pa(3), pa(4)), Some(false));
+        let mut c = ConflictCache::new(1);
+        for _ in 0..2 {
+            // Evicted by (3, 4), re-measured and kept again.
+            c.open_sweep();
+            assert_eq!(classify(&mut c, 2, 1, true), None);
+            c.close_sweep(true);
+            assert_eq!(c.lookup(pa(1), pa(2)), Some(true));
+            classify(&mut c, 3, 4, false);
+        }
+        assert_eq!(c.memo.len(), 2, "one memo entry per pair");
     }
 
     #[test]
     fn counters_track_hits_and_misses() {
-        let mut c = ConflictCache::new(4);
-        assert_eq!(c.lookup(pa(7), pa(8)), None);
-        c.record(pa(7), pa(8), true);
-        assert_eq!(c.lookup(pa(7), pa(8)), Some(true));
-        assert_eq!(c.lookup(pa(8), pa(7)), Some(true));
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
-        assert!(!c.is_empty());
-        assert_eq!(c.capacity(), 4);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 2, "clear keeps the counters");
+        let mut c = ConflictCache::new(8);
+        classify(&mut c, 1, 2, true); // outside any sweep: memoised
+        c.open_sweep();
+        classify(&mut c, 3, 4, false);
+        c.close_sweep(false); // accepted pile: dropped
+        c.open_sweep();
+        classify(&mut c, 20, 10, true);
+        c.close_sweep(true); // rejected pile: kept
+        assert_eq!(c.lookup(pa(10), pa(20)), Some(true));
+        assert_eq!(c.lookup(pa(2), pa(1)), Some(true));
+        assert_eq!((c.hits(), c.misses()), (2, 3));
+        assert_eq!(c.memo.len(), 2);
+        c.forget();
+        assert!(c.memo.is_empty());
+        assert_eq!((c.hits(), c.misses()), (2, 3));
     }
 
     #[test]
     fn entries_iterates_in_insertion_order() {
-        let mut c = ConflictCache::new(8);
-        c.record(pa(1), pa(2), true);
-        c.record(pa(9), pa(3), false);
+        let mut c = ConflictCache::new(2).with_log(true);
+        c.record(pa(1), pa(2), true); // as restored from a checkpoint
+        classify(&mut c, 9, 3, true);
+        classify(&mut c, 5, 6, false);
         let got: Vec<_> = c.entries().collect();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], ((pa(1), pa(2)), true));
-        assert_eq!(got[1], ((pa(3), pa(9)), false));
+        assert_eq!(got, [((pa(3), pa(9)), true), ((pa(5), pa(6)), false)]);
+        let mut plain = ConflictCache::new(2);
+        plain.record(pa(1), pa(2), true);
+        assert_eq!(plain.entries().count(), 0, "only a replay cache logs");
     }
 
     #[test]

@@ -51,10 +51,10 @@ impl<P: MemoryProbe> ConflictOracle<P> {
         }
     }
 
-    /// Attaches a [`ConflictCache`] of the given capacity so repeated
-    /// queries about the same unordered pair never re-time it.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(ConflictCache::new(capacity));
+    /// Attaches a [`ConflictCache`] so repeated queries about the same
+    /// unordered pair are not re-timed.
+    pub fn with_cache(mut self, cache: ConflictCache) -> Self {
+        self.cache = Some(cache);
         self
     }
 
@@ -109,9 +109,9 @@ impl<P: MemoryProbe> ConflictOracle<P> {
         self.cache.as_ref()
     }
 
-    /// Exclusive access to the attached conflict cache, if any. The
-    /// pipeline engine uses this to replay a checkpointed cache snapshot
-    /// (oldest entry first) into a fresh oracle on resume.
+    /// Exclusive access to the attached conflict cache, if any: the
+    /// pipeline engine restores a checkpointed log through it and empties
+    /// the memo at phase boundaries, and Algorithm 2 opens its sweeps.
     pub fn cache_mut(&mut self) -> Option<&mut ConflictCache> {
         self.cache.as_mut()
     }
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn cache_answers_repeat_queries_without_measuring() {
-        let mut o = oracle(false).with_cache(1024);
+        let mut o = oracle(false).with_cache(ConflictCache::new(1024));
         let truth = o.probe().machine().ground_truth().clone();
         let a = truth.to_phys(DramAddress::new(0, 1, 0)).unwrap();
         let b = truth.to_phys(DramAddress::new(0, 900, 0)).unwrap();
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn batched_queries_mix_cache_and_measurements() {
-        let mut o = oracle(false).with_cache(1024);
+        let mut o = oracle(false).with_cache(ConflictCache::new(1024));
         let truth = o.probe().machine().ground_truth().clone();
         let a = truth.to_phys(DramAddress::new(3, 5, 0)).unwrap();
         let b = truth.to_phys(DramAddress::new(3, 77, 0)).unwrap();
@@ -293,8 +293,10 @@ mod tests {
         let b = truth.to_phys(DramAddress::new(3, 77, 0)).unwrap();
         let c = truth.to_phys(DramAddress::new(5, 5, 0)).unwrap();
 
-        let mut plain = oracle(false).with_cache(64);
-        let mut logged = oracle(false).with_cache(64).with_batch_log(true);
+        let mut plain = oracle(false).with_cache(ConflictCache::new(64));
+        let mut logged = oracle(false)
+            .with_cache(ConflictCache::new(64))
+            .with_batch_log(true);
         assert!(
             plain.take_batch_records().is_empty(),
             "disabled log is empty"
