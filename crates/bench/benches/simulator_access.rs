@@ -36,8 +36,9 @@ fn bench_access(c: &mut Criterion) {
 
 /// `SimProbe::measure_pair` on Table-II machine No.4 under the noiseless,
 /// default and TRR profiles, each with the rounds the scenario evaluation
-/// gives it, over a mix of same-bank (conflicting) and cross-bank pairs;
-/// plus one `hammer_pair` burst of the flip-adjacency channel's length on
+/// gives it, over a mix of same-bank (conflicting) and cross-bank pairs,
+/// beside `SimProbe::reaches_threshold` (the oracle's verdict path) at the
+/// profile's oracle threshold over the same pairs; plus one `hammer_pair` burst of the flip-adjacency channel's length on
 /// the fast rowhammer profile. All of them run the alternating-pair kernel,
 /// which is where the simulator spends its host time.
 fn bench_measure_pair(c: &mut Criterion) {
@@ -59,9 +60,11 @@ fn bench_measure_pair(c: &mut Criterion) {
         ("trr", SimConfig::trr_noise()),
     ] {
         let rounds = rounds_for(&config);
+        let threshold = config.timing.oracle_threshold_ns();
         let machine = SimMachine::from_setting(&setting, config);
         let mut probe = SimProbe::new(machine, PhysMemory::full(setting.system.capacity_bytes))
             .with_rounds(rounds);
+        let mut verdicts = probe.clone();
         group.bench_with_input(BenchmarkId::from_parameter(name), &pairs, |b, pairs| {
             b.iter(|| {
                 let mut total = 0u64;
@@ -71,6 +74,19 @@ fn bench_measure_pair(c: &mut Criterion) {
                 std::hint::black_box(total)
             })
         });
+        group.bench_with_input(
+            BenchmarkId::new("reaches_threshold", name),
+            &pairs,
+            |b, pairs| {
+                b.iter(|| {
+                    let mut conflicts = 0u32;
+                    for &(x, y) in pairs {
+                        conflicts += u32::from(verdicts.reaches_threshold(x, y, threshold));
+                    }
+                    std::hint::black_box(conflicts)
+                })
+            },
+        );
     }
     let iterations = FlipAdjacencyConfig::default().iterations;
     let mut machine = SimMachine::from_setting(&setting, SimConfig::fast_rowhammer());

@@ -208,7 +208,8 @@ impl LatencyCalibration {
         }
     }
 
-    /// The conflict threshold in nanoseconds.
+    /// The conflict threshold in nanoseconds: a latency at or above it is a
+    /// row-buffer conflict (same bank, different rows).
     pub fn threshold_ns(&self) -> u64 {
         self.threshold_ns
     }
@@ -227,12 +228,6 @@ impl LatencyCalibration {
     pub fn samples(&self) -> usize {
         self.samples
     }
-
-    /// Classifies a measured latency: `true` means row-buffer conflict
-    /// (same bank, different rows).
-    pub fn is_conflict(&self, latency_ns: u64) -> bool {
-        latency_ns >= self.threshold_ns
-    }
 }
 
 #[cfg(test)]
@@ -248,8 +243,6 @@ mod tests {
         samples.extend(vec![380u64; 10]);
         let cal = LatencyCalibration::from_latencies(&samples).unwrap();
         assert!(cal.threshold_ns() > 200 && cal.threshold_ns() < 380);
-        assert!(cal.is_conflict(380));
-        assert!(!cal.is_conflict(200));
         assert_eq!(cal.samples(), 100);
         assert!(cal.low_mean_ns() < cal.high_mean_ns());
     }
@@ -268,8 +261,6 @@ mod tests {
     fn from_threshold_is_direct() {
         let cal = LatencyCalibration::from_threshold(300);
         assert_eq!(cal.threshold_ns(), 300);
-        assert!(cal.is_conflict(300));
-        assert!(!cal.is_conflict(299));
     }
 
     #[test]

@@ -134,14 +134,21 @@ impl<P: MemoryProbe> ConflictOracle<P> {
     }
 
     /// Returns `true` if `a` and `b` are observed to be in the same bank but
-    /// different rows (high latency / row-buffer conflict).
+    /// different rows (high latency / row-buffer conflict): one
+    /// [`MemoryProbe::reaches_threshold`] against the calibrated threshold.
     pub fn is_sbdr(&mut self, a: PhysAddr, b: PhysAddr) -> bool {
         if let Some(cache) = &mut self.cache {
             if let Some(cached) = cache.lookup(a, b) {
                 return cached;
             }
         }
-        let verdict = self.calibration.is_conflict(self.probe.measure_pair(a, b));
+        self.classify(a, b)
+    }
+
+    /// Asks the probe about an uncached pair and records the verdict.
+    fn classify(&mut self, a: PhysAddr, b: PhysAddr) -> bool {
+        let threshold = self.calibration.threshold_ns();
+        let verdict = self.probe.reaches_threshold(a, b, threshold);
         if let Some(cache) = &mut self.cache {
             cache.record(a, b, verdict);
         }
@@ -151,41 +158,30 @@ impl<P: MemoryProbe> ConflictOracle<P> {
     /// Classifies a batch of pairs, returning one SBDR verdict per pair in
     /// input order.
     ///
-    /// Cached pairs are answered for free; the uncached remainder goes to
-    /// the probe through [`MemoryProbe::measure_pairs`] in one batch, in
-    /// input order — the measurement order and count are identical to the
-    /// per-pair [`ConflictOracle::is_sbdr`] loop, so checkpointed runs and
-    /// golden scoreboards see the same stream.
-    ///
-    /// The calibration threshold is read once per batch instead of once per
-    /// pair; each latency is then a plain compare.
+    /// Every pair is looked up in the cache first; then each uncached pair,
+    /// in input order, is asked of the probe through
+    /// [`MemoryProbe::reaches_threshold`] and recorded. The measurement
+    /// order and count are those of the per-pair [`ConflictOracle::is_sbdr`]
+    /// loop, so checkpointed runs and golden scoreboards see the same
+    /// stream.
     pub fn are_sbdr(&mut self, pairs: &[(PhysAddr, PhysAddr)]) -> Vec<bool> {
-        let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(pairs.len());
-        let mut to_measure: Vec<usize> = Vec::new();
-        let mut batch: Vec<(PhysAddr, PhysAddr)> = Vec::new();
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            let cached = self.cache.as_mut().and_then(|cache| cache.lookup(a, b));
-            verdicts.push(cached);
-            if cached.is_none() {
-                to_measure.push(i);
-                batch.push((a, b));
+        let mut verdicts: Vec<Option<bool>> = pairs
+            .iter()
+            .map(|&(a, b)| self.cache.as_mut().and_then(|cache| cache.lookup(a, b)))
+            .collect();
+        let mut measured = 0;
+        for (verdict, &(a, b)) in verdicts.iter_mut().zip(pairs) {
+            if verdict.is_none() {
+                *verdict = Some(self.classify(a, b));
+                measured += 1;
             }
         }
-        let latencies = self.probe.measure_pairs(&batch);
         if let Some(log) = &mut self.batch_log {
             log.push(BatchRecord {
                 pairs: pairs.len() as u32,
-                cached: (pairs.len() - batch.len()) as u32,
-                measured: batch.len() as u32,
+                cached: (pairs.len() - measured) as u32,
+                measured: measured as u32,
             });
-        }
-        let threshold = self.calibration.threshold_ns();
-        for ((&i, (a, b)), lat) in to_measure.iter().zip(batch).zip(latencies) {
-            let verdict = lat >= threshold;
-            if let Some(cache) = &mut self.cache {
-                cache.record(a, b, verdict);
-            }
-            verdicts[i] = Some(verdict);
         }
         verdicts
             .into_iter()

@@ -78,14 +78,27 @@ impl ProbeStats {
 
 /// The timing side channel available to reverse-engineering tools.
 ///
-/// Implementations measure the average latency of alternately accessing two
-/// physical addresses with caches bypassed. Tools combine this with a
-/// [`crate::LatencyCalibration`] threshold to decide whether two addresses
-/// are in the same bank but different rows.
+/// Implementations measure a representative (the simulator's: median)
+/// latency of alternately accessing two physical addresses with caches
+/// bypassed. Tools combine this with a [`crate::LatencyCalibration`]
+/// threshold to decide whether two addresses are in the same bank but
+/// different rows.
 pub trait MemoryProbe {
     /// Measures the representative per-access latency (in nanoseconds) of an
     /// alternating access pattern over the two addresses.
     fn measure_pair(&mut self, a: PhysAddr, b: PhysAddr) -> u64;
+
+    /// Takes one measurement of the pair and answers whether its latency
+    /// reaches `threshold_ns`: the SBDR verdict, without the latency.
+    ///
+    /// The default is `measure_pair(a, b) >= threshold_ns`. A probe that can
+    /// answer the question more cheaply than it can produce the latency
+    /// overrides it with the same measurement stream and the same answer
+    /// ([`crate::SimProbe`] counts the samples below the threshold instead
+    /// of selecting their median).
+    fn reaches_threshold(&mut self, a: PhysAddr, b: PhysAddr, threshold_ns: u64) -> bool {
+        self.measure_pair(a, b) >= threshold_ns
+    }
 
     /// Measures a batch of pairs in one call, returning one latency per pair
     /// in input order.
@@ -131,6 +144,9 @@ pub trait MemoryProbe {
 impl<P: MemoryProbe + ?Sized> MemoryProbe for &mut P {
     fn measure_pair(&mut self, a: PhysAddr, b: PhysAddr) -> u64 {
         (**self).measure_pair(a, b)
+    }
+    fn reaches_threshold(&mut self, a: PhysAddr, b: PhysAddr, threshold_ns: u64) -> bool {
+        (**self).reaches_threshold(a, b, threshold_ns)
     }
     fn measure_pairs(&mut self, pairs: &[(PhysAddr, PhysAddr)]) -> Vec<u64> {
         (**self).measure_pairs(pairs)
@@ -206,6 +222,47 @@ mod tests {
             ..ProbeStats::default()
         };
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    /// A probe whose verdict override contradicts the default, so a call
+    /// shows which of the two answered.
+    struct Contrarian {
+        memory: PhysMemory,
+        verdicts: u64,
+    }
+
+    impl MemoryProbe for Contrarian {
+        fn measure_pair(&mut self, _a: PhysAddr, _b: PhysAddr) -> u64 {
+            100
+        }
+        fn reaches_threshold(&mut self, _a: PhysAddr, _b: PhysAddr, threshold_ns: u64) -> bool {
+            self.verdicts += 1;
+            100 < threshold_ns
+        }
+        fn memory(&self) -> &PhysMemory {
+            &self.memory
+        }
+        fn stats(&self) -> ProbeStats {
+            ProbeStats::default()
+        }
+        fn rounds(&self) -> u32 {
+            1
+        }
+    }
+
+    #[test]
+    fn mut_ref_forwards_the_verdict_override() {
+        fn verdict<Q: MemoryProbe>(mut probe: Q, threshold_ns: u64) -> bool {
+            probe.reaches_threshold(PhysAddr::new(0), PhysAddr::new(64), threshold_ns)
+        }
+        let mut inner = Contrarian {
+            memory: PhysMemory::full(1 << 20),
+            verdicts: 0,
+        };
+        // The default would answer `100 >= 200 == false` and `100 >= 50 == true`.
+        assert!(verdict(&mut inner, 200));
+        assert!(!verdict(&mut &mut inner, 50));
+        assert_eq!(inner.verdicts, 2, "both calls reached the override");
     }
 
     #[test]

@@ -77,21 +77,26 @@ impl SimProbe {
     pub fn into_machine(self) -> SimMachine {
         self.machine
     }
-}
 
-impl MemoryProbe for SimProbe {
-    fn measure_pair(&mut self, a: PhysAddr, b: PhysAddr) -> u64 {
-        let controller = self.machine.controller_mut();
+    /// One measurement's accesses, each latency handed to `sink`.
+    fn run(machine: &mut SimMachine, a: PhysAddr, b: PhysAddr, rounds: u32, sink: impl FnMut(u64)) {
+        let controller = machine.controller_mut();
         // Start from a clean row-buffer state, as real tools do by touching
         // unrelated memory / waiting between measurements.
         controller.close_all_rows();
         // A warm-up access opens a's row, then `rounds` alternations b, a
         // measure the steady state: one alternating run of 2·rounds + 1
         // accesses from a, whose first latency is dropped.
+        controller.access_alternating(a, b, 2 * u64::from(rounds) + 1, sink);
+    }
+}
+
+impl MemoryProbe for SimProbe {
+    fn measure_pair(&mut self, a: PhysAddr, b: PhysAddr) -> u64 {
         let scratch = &mut self.scratch;
         scratch.clear();
-        controller.access_alternating(a, b, 2 * u64::from(self.rounds) + 1, |latency| {
-            scratch.push(latency);
+        Self::run(&mut self.machine, a, b, self.rounds, |latency| {
+            scratch.push(latency)
         });
         self.measurements += 1;
         // The median is the element a full sort would put at the midpoint;
@@ -99,6 +104,21 @@ impl MemoryProbe for SimProbe {
         let samples = &mut self.scratch[1..];
         let mid = samples.len() / 2;
         *samples.select_nth_unstable(mid).1
+    }
+
+    /// The median of the `2·rounds` samples is their sorted index `rounds`,
+    /// and it reaches `threshold_ns` exactly when at most `rounds` samples
+    /// fall below it: counting those answers the question with the same
+    /// accesses as [`MemoryProbe::measure_pair`], without a buffer or a
+    /// selection.
+    fn reaches_threshold(&mut self, a: PhysAddr, b: PhysAddr, threshold_ns: u64) -> bool {
+        let (mut warm_up, mut below) = (true, 0u64);
+        Self::run(&mut self.machine, a, b, self.rounds, |latency| {
+            below += u64::from(!warm_up && latency < threshold_ns);
+            warm_up = false;
+        });
+        self.measurements += 1;
+        below <= u64::from(self.rounds)
     }
 
     fn memory(&self) -> &PhysMemory {
