@@ -2,15 +2,17 @@
 //! the dead-letter queue.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use campaign::{
     campaign_status, run_campaign_with_metrics, CampaignOptions, CampaignOutcome, CampaignPaths,
     CampaignSpec, MappingStore, Profile,
 };
-use dram_model::parse;
 
-use crate::flags::{flag_value, parse_u64, reject_unknown_flags, required};
-use crate::{write_trace_files, CliError};
+use campaign::mapreduce::{grid_history_line, GridSpec};
+
+use crate::flags::{parse_flags, parse_u64, Flag};
+use crate::{machines_sharing, one_bank_function, record_history, write_trace_files, CliError};
 
 /// What a `dramdig campaign` invocation does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,19 +57,16 @@ pub enum CampaignAction {
     },
     /// `dramdig campaign mapreduce --dir D --scenarios N [--seed S]
     /// [--profile P] [--retries N] [--processes N] [--transport process|sim]
-    /// [--worker-bin PATH] [--inject-kill W:J] [--history PATH]
-    /// [--metrics PATH]`
+    /// [--inject-kill W:J] [--history PATH] [--metrics PATH]`
     Mapreduce {
         /// Grid campaign directory (grid spec, journal, store, scoreboard).
         dir: String,
         /// The generated-machine grid description.
-        spec: campaign::mapreduce::GridSpec,
+        spec: GridSpec,
         /// Worker count (processes or simulated in-process workers).
         processes: usize,
         /// Worker transport: real processes or in-process simulated remotes.
         transport: MapTransport,
-        /// Worker binary override (defaults to the running executable).
-        worker_bin: Option<String>,
         /// Fault injection: worker W dies on its J-th request (`W:J`).
         inject_kill: Option<(u32, u32)>,
         /// Longitudinal history file the finished grid is appended to under
@@ -141,36 +140,34 @@ fn parse_machine_list(text: &str) -> Result<Vec<u8>, CliError> {
     Ok(machines)
 }
 
+/// The flag `campaign worker` reads its fault injection from. The
+/// coordinator passes it on to the worker it is told to kill.
+const INJECT_KILL: &str = "--inject-kill";
+
+/// Parses a 32-bit fault-injection count.
+fn parse_u32(text: &str) -> Result<u32, CliError> {
+    u32::try_from(parse_u64(text)?)
+        .map_err(|_| CliError::Usage(format!("`{text}` is out of range")))
+}
+
+/// Parses `dramdig campaign` and its action's flags.
 pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
-    let Some(action) = rest.first() else {
+    let Some((action, rest)) = rest.split_first() else {
         return Err(CliError::Usage(
             "`dramdig campaign` requires run, resume, status, query, mapreduce, worker or dlq"
                 .into(),
         ));
     };
-    let rest = &rest[1..];
-    let workers = |rest: &[String]| -> Result<usize, CliError> {
-        match flag_value(rest, "--workers") {
-            Some(w) => {
-                let workers = parse_u64(w)? as usize;
-                if workers == 0 {
-                    return Err(CliError::Usage("--workers must be at least 1".into()));
-                }
-                Ok(workers)
-            }
-            None => Ok(4),
-        }
-    };
-    let limit = |rest: &[String]| -> Result<Option<usize>, CliError> {
-        flag_value(rest, "--limit")
-            .map(|l| parse_u64(l).map(|v| v as usize))
-            .transpose()
-    };
+    let limit = |flag: Flag| Ok::<_, CliError>(flag.u64()?.map(|v| v as usize));
     match action.as_str() {
         "run" => {
-            reject_unknown_flags(
+            let (
+                [dir, machines, seeds, profiles, ablations, retries, workers, cap, trace, metrics],
+                [],
+            ) = parse_flags(
                 rest,
-                &[
+                "campaign run",
+                [
                     "--dir",
                     "--machines",
                     "--seeds",
@@ -182,39 +179,29 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                     "--trace",
                     "--metrics",
                 ],
-                "campaign run",
+                [],
             )?;
-            let dir = required(rest, "--dir", "campaign run")?.to_string();
-            let machines = parse_machine_list(required(rest, "--machines", "campaign run")?)?;
-            let seeds = match flag_value(rest, "--seeds") {
-                Some(list) => list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(parse_u64)
-                    .collect::<Result<Vec<u64>, CliError>>()?,
-                None => vec![1],
-            };
-            let profiles = match flag_value(rest, "--profiles") {
-                Some(list) => Profile::parse_list(list).map_err(CliError::Usage)?,
-                None => vec![Profile::Optimized],
-            };
-            let ablations = match flag_value(rest, "--ablations") {
-                Some(list) => campaign::Ablation::parse_list(list).map_err(CliError::Usage)?,
-                None => vec![None],
-            };
-            let max_retries = match flag_value(rest, "--retries") {
-                Some(r) => u32::try_from(parse_u64(r)?).map_err(|_| {
-                    CliError::Usage(format!("--retries {r} does not fit a 32-bit count"))
-                })?,
-                None => 2,
-            };
+            let dir = dir.need()?.to_string();
             let spec = CampaignSpec {
-                machines,
-                seeds,
-                profiles,
-                ablations,
-                max_retries,
+                machines: parse_machine_list(machines.need()?)?,
+                seeds: match seeds.get() {
+                    Some(list) => list
+                        .split(',')
+                        .map(str::trim)
+                        .filter(|s| !s.is_empty())
+                        .map(parse_u64)
+                        .collect::<Result<Vec<u64>, CliError>>()?,
+                    None => vec![1],
+                },
+                profiles: match profiles.get() {
+                    Some(list) => Profile::parse_list(list).map_err(CliError::Usage)?,
+                    None => vec![Profile::Optimized],
+                },
+                ablations: match ablations.get() {
+                    Some(list) => campaign::Ablation::parse_list(list).map_err(CliError::Usage)?,
+                    None => vec![None],
+                },
+                max_retries: retries.u32_in(0..=u32::MAX)?.unwrap_or(2),
             };
             if spec.seeds.is_empty() || spec.profiles.is_empty() || spec.ablations.is_empty() {
                 return Err(CliError::Usage("campaign spec expands to zero jobs".into()));
@@ -222,37 +209,46 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
             Ok(CampaignAction::Run {
                 dir,
                 spec,
-                workers: workers(rest)?,
-                limit: limit(rest)?,
-                trace: flag_value(rest, "--trace").map(str::to_string),
-                metrics: flag_value(rest, "--metrics").map(str::to_string),
+                workers: workers.count_or(4)?,
+                limit: limit(cap)?,
+                trace: trace.string(),
+                metrics: metrics.string(),
             })
         }
         "resume" => {
-            reject_unknown_flags(rest, &["--dir", "--workers", "--limit"], "campaign resume")?;
+            let ([dir, workers, cap], []) = parse_flags(
+                rest,
+                "campaign resume",
+                ["--dir", "--workers", "--limit"],
+                [],
+            )?;
             Ok(CampaignAction::Resume {
-                dir: required(rest, "--dir", "campaign resume")?.to_string(),
-                workers: workers(rest)?,
-                limit: limit(rest)?,
+                dir: dir.need()?.to_string(),
+                workers: workers.count_or(4)?,
+                limit: limit(cap)?,
             })
         }
         "status" => {
-            reject_unknown_flags(rest, &["--dir"], "campaign status")?;
+            let ([dir], []) = parse_flags(rest, "campaign status", ["--dir"], [])?;
             Ok(CampaignAction::Status {
-                dir: required(rest, "--dir", "campaign status")?.to_string(),
+                dir: dir.need()?.to_string(),
             })
         }
         "query" => {
-            reject_unknown_flags(rest, &["--dir", "--func"], "campaign query")?;
+            let ([dir, func], []) = parse_flags(rest, "campaign query", ["--dir", "--func"], [])?;
             Ok(CampaignAction::Query {
-                dir: required(rest, "--dir", "campaign query")?.to_string(),
-                func: required(rest, "--func", "campaign query")?.to_string(),
+                dir: dir.need()?.to_string(),
+                func: func.need()?.to_string(),
             })
         }
         "mapreduce" => {
-            reject_unknown_flags(
+            let (
+                [dir, scenarios, seed, profile, retries, processes, transport, inject_kill, history, metrics],
+                [],
+            ) = parse_flags(
                 rest,
-                &[
+                "campaign mapreduce",
+                [
                     "--dir",
                     "--scenarios",
                     "--seed",
@@ -260,49 +256,27 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                     "--retries",
                     "--processes",
                     "--transport",
-                    "--worker-bin",
-                    "--inject-kill",
+                    INJECT_KILL,
                     "--history",
                     "--metrics",
                 ],
-                "campaign mapreduce",
+                [],
             )?;
-            let dir = required(rest, "--dir", "campaign mapreduce")?.to_string();
-            let scenarios = u32::try_from(parse_u64(required(
-                rest,
-                "--scenarios",
-                "campaign mapreduce",
-            )?)?)
-            .map_err(|_| CliError::Usage("--scenarios does not fit a 32-bit count".into()))?;
-            if scenarios == 0 {
-                return Err(CliError::Usage("--scenarios must be at least 1".into()));
-            }
-            let seed = match flag_value(rest, "--seed") {
-                Some(s) => parse_u64(s)?,
-                None => 1,
+            let dir = dir.need()?.to_string();
+            let spec = GridSpec {
+                scenarios: scenarios
+                    .u32_in(1..=u32::MAX)?
+                    .ok_or_else(|| scenarios.missing())?,
+                seed: seed.u64_or(1)?,
+                profile: match profile.get() {
+                    Some(name) => Profile::from_name(name)
+                        .ok_or_else(|| CliError::Usage(format!("unknown profile `{name}`")))?,
+                    None => Profile::Fast,
+                },
+                max_retries: retries.u32_in(0..=u32::MAX)?.unwrap_or(1),
             };
-            let profile = match flag_value(rest, "--profile") {
-                Some(name) => Profile::from_name(name)
-                    .ok_or_else(|| CliError::Usage(format!("unknown profile `{name}`")))?,
-                None => Profile::Fast,
-            };
-            let max_retries = match flag_value(rest, "--retries") {
-                Some(r) => u32::try_from(parse_u64(r)?).map_err(|_| {
-                    CliError::Usage(format!("--retries {r} does not fit a 32-bit count"))
-                })?,
-                None => 1,
-            };
-            let processes = match flag_value(rest, "--processes") {
-                Some(p) => {
-                    let processes = parse_u64(p)? as usize;
-                    if processes == 0 {
-                        return Err(CliError::Usage("--processes must be at least 1".into()));
-                    }
-                    processes
-                }
-                None => 4,
-            };
-            let transport = match flag_value(rest, "--transport") {
+            let processes = processes.count_or(4)?;
+            let transport = match transport.get() {
                 Some("process") | None => MapTransport::Process,
                 Some("sim") => MapTransport::Sim,
                 Some(other) => {
@@ -311,48 +285,35 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                     )))
                 }
             };
-            let inject_kill = flag_value(rest, "--inject-kill")
+            let inject_kill = inject_kill
+                .get()
                 .map(|text| {
                     let (worker, request) = text.split_once(':').ok_or_else(|| {
                         CliError::Usage(format!(
-                            "--inject-kill expects <worker>:<request>, got `{text}`"
+                            "{INJECT_KILL} expects <worker>:<request>, got `{text}`"
                         ))
                     })?;
-                    let parse = |part: &str| {
-                        u32::try_from(parse_u64(part)?)
-                            .map_err(|_| CliError::Usage(format!("`{part}` is out of range")))
-                    };
-                    Ok::<_, CliError>((parse(worker)?, parse(request)?))
+                    Ok::<_, CliError>((parse_u32(worker)?, parse_u32(request)?))
                 })
                 .transpose()?;
             Ok(CampaignAction::Mapreduce {
                 dir,
-                spec: campaign::mapreduce::GridSpec {
-                    scenarios,
-                    seed,
-                    profile,
-                    max_retries,
-                },
+                spec,
                 processes,
                 transport,
-                worker_bin: flag_value(rest, "--worker-bin").map(str::to_string),
                 inject_kill,
-                history: flag_value(rest, "--history").map(str::to_string),
-                metrics: flag_value(rest, "--metrics").map(str::to_string),
+                history: history.string(),
+                metrics: metrics.string(),
             })
         }
         "worker" => {
-            reject_unknown_flags(rest, &["--inject-kill"], "campaign worker")?;
-            let inject_kill = flag_value(rest, "--inject-kill")
-                .map(|n| {
-                    u32::try_from(parse_u64(n)?)
-                        .map_err(|_| CliError::Usage(format!("`{n}` is out of range")))
-                })
-                .transpose()?;
-            Ok(CampaignAction::Worker { inject_kill })
+            let ([inject_kill], []) = parse_flags(rest, "campaign worker", [INJECT_KILL], [])?;
+            Ok(CampaignAction::Worker {
+                inject_kill: inject_kill.get().map(parse_u32).transpose()?,
+            })
         }
         "dlq" => {
-            let Some(op) = rest.first() else {
+            let Some((op, rest)) = rest.split_first() else {
                 return Err(CliError::Usage(
                     "`dramdig campaign dlq` requires list, inspect, retry or reprocess".into(),
                 ));
@@ -368,16 +329,15 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                     )))
                 }
             };
-            let rest = &rest[1..];
-            reject_unknown_flags(rest, &["--dir", "--job"], "campaign dlq")?;
-            let job = flag_value(rest, "--job").map(str::to_string);
+            let ([dir, job], []) = parse_flags(rest, "campaign dlq", ["--dir", "--job"], [])?;
+            let job = job.string();
             if op == DlqOp::Inspect && job.is_none() {
                 return Err(CliError::Usage(
                     "`dramdig campaign dlq inspect` requires --job <id>".into(),
                 ));
             }
             Ok(CampaignAction::Dlq {
-                dir: required(rest, "--dir", "campaign dlq")?.to_string(),
+                dir: dir.need()?.to_string(),
                 op,
                 job,
             })
@@ -409,7 +369,8 @@ fn campaign_tracer(outcome: &CampaignOutcome) -> telemetry::Tracer {
     tracer
 }
 
-pub(crate) fn read_campaign_spec(paths: &CampaignPaths) -> Result<CampaignSpec, CliError> {
+/// Reads the spec `campaign run` persists in a campaign directory.
+fn read_campaign_spec(paths: &CampaignPaths) -> Result<CampaignSpec, CliError> {
     let text = std::fs::read_to_string(paths.spec()).map_err(|e| {
         CliError::Tool(format!(
             "cannot read {} ({e}); was this campaign started with `campaign run`?",
@@ -419,7 +380,52 @@ pub(crate) fn read_campaign_spec(paths: &CampaignPaths) -> Result<CampaignSpec, 
     CampaignSpec::decode(&text).map_err(|e| CliError::Tool(format!("corrupt campaign spec: {e}")))
 }
 
-pub(crate) fn drive_campaign(
+/// Reads the grid spec `campaign mapreduce` persists in its directory.
+fn read_grid_spec(paths: &CampaignPaths) -> Result<GridSpec, CliError> {
+    let path = paths.grid_spec();
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        CliError::Tool(format!(
+            "cannot read {} ({e}); was this grid started with `campaign mapreduce`?",
+            path.display()
+        ))
+    })?;
+    GridSpec::decode(&text).map_err(|e| CliError::Tool(format!("corrupt grid spec: {e}")))
+}
+
+/// Writes the `kind` spec (`campaign` or `grid`) to `path` in a directory
+/// that holds none yet, and refuses a directory whose spec, as `read`
+/// decodes it, differs from `spec`.
+fn persist_spec<S: PartialEq>(
+    dir: &str,
+    path: &Path,
+    kind: &str,
+    spec: &S,
+    text: String,
+    read: impl FnOnce() -> Result<S, CliError>,
+) -> Result<(), CliError> {
+    if !path.exists() {
+        return std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(path, text))
+            .map_err(|e| CliError::Tool(format!("cannot persist {kind} spec in {dir}: {e}")));
+    }
+    if read()? != *spec {
+        return Err(CliError::Tool(format!(
+            "{dir} already holds a different {kind}; resume it or pick a new --dir"
+        )));
+    }
+    Ok(())
+}
+
+/// The report line naming a campaign's mapping store.
+fn store_line(store: &MappingStore, paths: &CampaignPaths) -> String {
+    format!(
+        "store: {} distinct mappings ({})\n",
+        store.len(),
+        paths.store().display()
+    )
+}
+
+fn drive_campaign(
     dir: &str,
     spec: &CampaignSpec,
     workers: usize,
@@ -445,7 +451,7 @@ pub(crate) fn drive_campaign(
         metrics.is_some().then_some(&mut pool_metrics),
         campaign::run_job_sim_checkpointed,
     )
-    .map_err(|e| CliError::Tool(e.to_string()))?;
+    .map_err(CliError::tool)?;
     if trace.is_some() || metrics.is_some() {
         write_trace_files(&campaign_tracer(&outcome), &pool_metrics, trace, metrics)?;
     }
@@ -481,13 +487,7 @@ pub(crate) fn drive_campaign(
         )
         .expect("write to string");
     }
-    writeln!(
-        out,
-        "store: {} distinct mappings ({})",
-        outcome.store.len(),
-        paths.store().display()
-    )
-    .expect("write to string");
+    out.push_str(&store_line(&outcome.store, &paths));
     writeln!(
         out,
         "totals: {} measurements, {:.3} s simulated; fleet makespan {:.3} s at 1 machine, {:.3} s at {} machines",
@@ -512,21 +512,9 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
             metrics,
         } => {
             let paths = CampaignPaths::new(dir);
-            if paths.spec().exists() {
-                let existing = read_campaign_spec(&paths)?;
-                if &existing != spec {
-                    return Err(CliError::Tool(format!(
-                        "{} already holds a different campaign; resume it or pick a new --dir",
-                        dir
-                    )));
-                }
-            } else {
-                std::fs::create_dir_all(paths.dir())
-                    .and_then(|()| std::fs::write(paths.spec(), spec.encode()))
-                    .map_err(|e| {
-                        CliError::Tool(format!("cannot persist campaign spec in {dir}: {e}"))
-                    })?;
-            }
+            persist_spec(dir, &paths.spec(), "campaign", spec, spec.encode(), || {
+                read_campaign_spec(&paths)
+            })?;
             drive_campaign(
                 dir,
                 spec,
@@ -553,7 +541,7 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
             } else {
                 campaign_status(&read_campaign_spec(&paths)?, &paths)
             }
-            .map_err(|e| CliError::Tool(e.to_string()))?;
+            .map_err(CliError::tool)?;
             let mut out = String::new();
             writeln!(
                 out,
@@ -575,16 +563,10 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
         }
         CampaignAction::Query { dir, func } => {
             let paths = CampaignPaths::new(dir);
-            let funcs = parse::parse_functions(func)
-                .map_err(|e| CliError::Tool(format!("invalid --func: {e}")))?;
-            let [func] = funcs.as_slice() else {
-                return Err(CliError::Tool(
-                    "--func expects exactly one bank function, e.g. \"(13, 16)\"".into(),
-                ));
-            };
+            let func = one_bank_function(func)?;
             let store = load_campaign_store(&paths)?;
             let mut out = String::new();
-            let entries = store.entries_sharing(*func);
+            let entries = store.entries_sharing(func);
             writeln!(
                 out,
                 "bank function {func} appears in {} of {} stored mappings",
@@ -592,22 +574,14 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
                 store.len(),
             )
             .expect("write to string");
-            // One span scan: the machine set falls out of the matching
-            // entries (what MappingStore::machines_sharing would recompute).
-            let machines: std::collections::BTreeSet<&str> =
-                entries.iter().flat_map(|entry| entry.machines()).collect();
             for entry in &entries {
                 let sources: Vec<String> = entry.sources.iter().map(|s| s.to_string()).collect();
                 writeln!(out, "  {}", entry.mapping).expect("write to string");
                 writeln!(out, "    recovered by {}", sources.join(", ")).expect("write to string");
             }
-            if machines.is_empty() {
-                writeln!(out, "no machine shares it").expect("write to string");
-            } else {
-                let machines: Vec<&str> = machines.into_iter().collect();
-                writeln!(out, "machines sharing it: {}", machines.join(", "))
-                    .expect("write to string");
-            }
+            out.push_str(&machines_sharing(
+                entries.iter().flat_map(|entry| entry.machines()),
+            ));
             Ok(out)
         }
         CampaignAction::Mapreduce {
@@ -615,194 +589,126 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
             spec,
             processes,
             transport,
-            worker_bin,
             inject_kill,
             history,
             metrics,
-        } => execute_mapreduce(
-            dir,
-            spec,
-            *processes,
-            *transport,
-            worker_bin.as_deref(),
-            *inject_kill,
-            history.as_deref(),
-            metrics.as_deref(),
-        ),
+        } => {
+            use campaign::mapreduce::{ProcessTransport, SimTransport, WorkerTransport};
+
+            // The request worker `i` dies on, if it is the one told to die.
+            let kill_at = |i: usize| {
+                inject_kill
+                    .filter(|&(worker, _)| worker as usize == i)
+                    .map(|(_, request)| request)
+            };
+
+            let paths = CampaignPaths::new(dir);
+            persist_spec(dir, &paths.grid_spec(), "grid", spec, spec.encode(), || {
+                read_grid_spec(&paths)
+            })?;
+
+            let transports: Vec<Box<dyn WorkerTransport>> = match transport {
+                MapTransport::Sim => (0..*processes)
+                    .map(|i| {
+                        let sim =
+                            kill_at(i).map_or_else(SimTransport::new, SimTransport::killed_at);
+                        Box::new(sim) as Box<dyn WorkerTransport>
+                    })
+                    .collect(),
+                MapTransport::Process => {
+                    let bin = std::env::current_exe()
+                        .map_err(|e| CliError::Tool(format!("cannot locate own binary: {e}")))?;
+                    (0..*processes)
+                        .map(|i| {
+                            let extra = kill_at(i)
+                                .map(|request| vec![INJECT_KILL.to_string(), request.to_string()])
+                                .unwrap_or_default();
+                            ProcessTransport::spawn(&bin, &extra)
+                                .map(|t| Box::new(t) as Box<dyn WorkerTransport>)
+                        })
+                        .collect::<std::io::Result<Vec<_>>>()
+                        .map_err(|e| CliError::Tool(format!("cannot spawn workers: {e}")))?
+                }
+            };
+
+            let mut pool_metrics = telemetry::Registry::new();
+            let outcome = campaign::mapreduce::run_mapreduce(
+                spec,
+                &paths,
+                transports,
+                metrics.is_some().then_some(&mut pool_metrics),
+            )
+            .map_err(CliError::tool)?;
+            write_trace_files(
+                &telemetry::Tracer::new(),
+                &pool_metrics,
+                None,
+                metrics.as_deref(),
+            )?;
+
+            if let Some(path) = history {
+                record_history(path, &grid_history_line(spec, &outcome), "grid")?;
+            }
+
+            let pending =
+                spec.scenarios as usize - outcome.state.completed.len() - outcome.state.dead.len();
+            let mut out = String::new();
+            writeln!(
+                out,
+                "mapreduce {dir}: {}/{} jobs completed ({} this invocation, {} dead-lettered, {} pending)",
+                outcome.state.completed.len(),
+                spec.scenarios,
+                outcome.completed_now,
+                outcome.state.dead.len(),
+                pending,
+            )
+            .expect("write to string");
+            if pending > 0 {
+                writeln!(
+                    out,
+                    "  continue with `dramdig campaign mapreduce --dir {dir} --scenarios {}`",
+                    spec.scenarios
+                )
+                .expect("write to string");
+            }
+            out.push_str(&store_line(&outcome.store, &paths));
+            writeln!(
+                out,
+                "scoreboard: fnv1a:{:016x} ({})",
+                dram_model::fingerprint::fnv1a64(outcome.scoreboard.as_bytes()),
+                paths.dir().join("SCOREBOARD.txt").display()
+            )
+            .expect("write to string");
+            if !outcome.state.dead.is_empty() {
+                writeln!(
+                    out,
+                    "dead letters: inspect with `dramdig campaign dlq list --dir {dir}`"
+                )
+                .expect("write to string");
+            }
+            Ok(out)
+        }
         CampaignAction::Worker { inject_kill } => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            campaign::mapreduce::run_worker(stdin.lock(), stdout.lock(), *inject_kill)
-                .map_err(CliError::Tool)?;
+            campaign::mapreduce::run_worker(
+                std::io::stdin().lock(),
+                std::io::stdout().lock(),
+                *inject_kill,
+            )
+            .map_err(CliError::Tool)?;
             Ok(String::new())
         }
         CampaignAction::Dlq { dir, op, job } => execute_dlq(dir, *op, job.as_deref()),
     }
 }
 
-/// Reads the grid spec persisted in a mapreduce campaign directory.
-pub(crate) fn read_grid_spec(
-    paths: &CampaignPaths,
-) -> Result<campaign::mapreduce::GridSpec, CliError> {
-    let path = paths.grid_spec();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        CliError::Tool(format!(
-            "cannot read {} ({e}); was this grid started with `campaign mapreduce`?",
-            path.display()
-        ))
-    })?;
-    campaign::mapreduce::GridSpec::decode(&text)
-        .map_err(|e| CliError::Tool(format!("corrupt grid spec: {e}")))
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_mapreduce(
-    dir: &str,
-    spec: &campaign::mapreduce::GridSpec,
-    processes: usize,
-    transport: MapTransport,
-    worker_bin: Option<&str>,
-    inject_kill: Option<(u32, u32)>,
-    history: Option<&str>,
-    metrics: Option<&str>,
-) -> Result<String, CliError> {
-    use campaign::mapreduce::{ProcessTransport, SimTransport, WorkerTransport};
-
+fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliError> {
     let paths = CampaignPaths::new(dir);
-    let spec_path = paths.grid_spec();
-    if spec_path.exists() {
-        let existing = read_grid_spec(&paths)?;
-        if &existing != spec {
-            return Err(CliError::Tool(format!(
-                "{dir} already holds a different grid; resume it or pick a new --dir"
-            )));
-        }
-    } else {
-        std::fs::create_dir_all(paths.dir())
-            .and_then(|()| std::fs::write(&spec_path, spec.encode()))
-            .map_err(|e| CliError::Tool(format!("cannot persist grid spec in {dir}: {e}")))?;
-    }
-
-    let transports: Vec<Box<dyn WorkerTransport>> = match transport {
-        MapTransport::Sim => (0..processes)
-            .map(|i| {
-                let sim = match inject_kill {
-                    Some((worker, request)) if worker as usize == i => {
-                        SimTransport::killed_at(request)
-                    }
-                    _ => SimTransport::new(),
-                };
-                Box::new(sim) as Box<dyn WorkerTransport>
-            })
-            .collect(),
-        MapTransport::Process => {
-            let bin = match worker_bin {
-                Some(path) => std::path::PathBuf::from(path),
-                None => std::env::current_exe()
-                    .map_err(|e| CliError::Tool(format!("cannot locate own binary: {e}")))?,
-            };
-            (0..processes)
-                .map(|i| {
-                    let extra = match inject_kill {
-                        Some((worker, request)) if worker as usize == i => {
-                            vec!["--inject-kill".to_string(), request.to_string()]
-                        }
-                        _ => Vec::new(),
-                    };
-                    ProcessTransport::spawn(&bin, &extra)
-                        .map(|t| Box::new(t) as Box<dyn WorkerTransport>)
-                })
-                .collect::<std::io::Result<Vec<_>>>()
-                .map_err(|e| CliError::Tool(format!("cannot spawn workers: {e}")))?
-        }
-    };
-
-    let mut pool_metrics = telemetry::Registry::new();
-    let outcome = campaign::mapreduce::run_mapreduce(
-        spec,
-        &paths,
-        transports,
-        metrics.is_some().then_some(&mut pool_metrics),
-    )
-    .map_err(|e| CliError::Tool(e.to_string()))?;
-    if metrics.is_some() {
-        write_trace_files(&telemetry::Tracer::new(), &pool_metrics, None, metrics)?;
-    }
-
-    if let Some(path) = history {
-        let existing = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(CliError::Tool(format!("cannot read history {path}: {e}"))),
-        };
-        let line = campaign::mapreduce::grid_history_line(spec, &outcome);
-        match dramdig_bench::eval::append_history(&existing, &line) {
-            Ok(Some(updated)) => {
-                std::fs::write(path, updated)
-                    .map_err(|e| CliError::Tool(format!("cannot write history {path}: {e}")))?;
-                eprintln!("[dramdig] history: recorded new grid in {path}");
-            }
-            Ok(None) => {
-                eprintln!("[dramdig] history: grid already recorded in {path}, unchanged");
-            }
-            Err(drift) => return Err(CliError::Tool(format!("scoreboard {drift}"))),
-        }
-    }
-
-    let pending =
-        spec.scenarios as usize - outcome.state.completed.len() - outcome.state.dead.len();
-    let mut out = String::new();
-    writeln!(
-        out,
-        "mapreduce {dir}: {}/{} jobs completed ({} this invocation, {} dead-lettered, {} pending)",
-        outcome.state.completed.len(),
-        spec.scenarios,
-        outcome.completed_now,
-        outcome.state.dead.len(),
-        pending,
-    )
-    .expect("write to string");
-    if pending > 0 {
-        writeln!(
-            out,
-            "  continue with `dramdig campaign mapreduce --dir {dir} --scenarios {}`",
-            spec.scenarios
-        )
-        .expect("write to string");
-    }
-    writeln!(
-        out,
-        "store: {} distinct mappings ({})",
-        outcome.store.len(),
-        paths.store().display()
-    )
-    .expect("write to string");
-    writeln!(
-        out,
-        "scoreboard: fnv1a:{:016x} ({})",
-        dram_model::fingerprint::fnv1a64(outcome.scoreboard.as_bytes()),
-        paths.dir().join("SCOREBOARD.txt").display()
-    )
-    .expect("write to string");
-    if !outcome.state.dead.is_empty() {
-        writeln!(
-            out,
-            "dead letters: inspect with `dramdig campaign dlq list --dir {dir}`"
-        )
-        .expect("write to string");
-    }
-    Ok(out)
-}
-
-pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliError> {
-    let paths = CampaignPaths::new(dir);
-    let records =
-        campaign::read_merged_journal(&paths).map_err(|e| CliError::Tool(e.to_string()))?;
+    let records = campaign::read_merged_journal(&paths).map_err(CliError::tool)?;
     let state = campaign::JournalState::replay(&records);
     let letters = campaign::dead_letters(&state);
+    let mut out = String::new();
     match op {
         DlqOp::List => {
-            let mut out = String::new();
             writeln!(out, "dead-letter queue of {dir}: {} job(s)", letters.len())
                 .expect("write to string");
             for letter in &letters {
@@ -814,7 +720,6 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
                 )
                 .expect("write to string");
             }
-            Ok(out)
         }
         DlqOp::Inspect => {
             let id = job.expect("parser enforces --job for inspect");
@@ -823,7 +728,6 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
                     "job `{id}` is not dead-lettered (see `campaign dlq list`)"
                 ))
             })?;
-            let mut out = String::new();
             writeln!(out, "job: {}", letter.job).expect("write to string");
             writeln!(out, "attempts: {}", letter.attempts).expect("write to string");
             writeln!(
@@ -833,7 +737,6 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
             )
             .expect("write to string");
             writeln!(out, "reason:\n{}", letter.reason).expect("write to string");
-            Ok(out)
         }
         DlqOp::Retry | DlqOp::Reprocess => {
             let mode = match op {
@@ -842,15 +745,13 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
             };
             // Requeue records must land *after* the dead records they revive:
             // fold any worker journal shards into the top-level journal first.
-            campaign::compact_journals(&paths).map_err(|e| CliError::Tool(e.to_string()))?;
-            let requeued = campaign::requeue(&paths.journal(), &state, mode, job)
-                .map_err(|e| CliError::Tool(e.to_string()))?;
+            campaign::compact_journals(&paths).map_err(CliError::tool)?;
+            let requeued =
+                campaign::requeue(&paths.journal(), &state, mode, job).map_err(CliError::tool)?;
             // dlq.txt mirrors the journal: rewrite it from the post-requeue state.
-            let records = campaign::read_journal(&paths.journal())
-                .map_err(|e| CliError::Tool(e.to_string()))?;
+            let records = campaign::read_journal(&paths.journal()).map_err(CliError::tool)?;
             campaign::write_dlq(&paths.dlq(), &campaign::JournalState::replay(&records))
-                .map_err(|e| CliError::Tool(e.to_string()))?;
-            let mut out = String::new();
+                .map_err(CliError::tool)?;
             writeln!(
                 out,
                 "requeued {} job(s) for {}:",
@@ -866,9 +767,9 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
                 "run `dramdig campaign mapreduce --dir {dir} ...` (or `campaign resume`) to drain them"
             )
             .expect("write to string");
-            Ok(out)
         }
     }
+    Ok(out)
 }
 
 /// Rebuilds a campaign's mapping store from its merged journal — the
@@ -878,7 +779,7 @@ pub(crate) fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<Str
 /// persisted `store.txt` answer instead.
 pub(crate) fn load_campaign_store(paths: &CampaignPaths) -> Result<MappingStore, CliError> {
     let rebuilt = campaign::read_merged_journal(paths)
-        .map_err(|e| CliError::Tool(e.to_string()))
+        .map_err(CliError::tool)
         .and_then(|records| {
             let state = campaign::JournalState::replay(&records);
             if paths.grid_spec().exists() {

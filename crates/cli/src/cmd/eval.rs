@@ -2,17 +2,18 @@
 
 use dramdig_bench::eval::{
     outcome_metrics, outcome_tracer, run_grid_metered, run_grid_with_observables, summary_line,
-    EvalGrid, GridKind,
+    EvalGrid,
 };
 
-use crate::flags::{flag_value, parse_observables, parse_u64, reject_unknown_flags, required};
-use crate::{write_trace_files, CliError, Command};
+use crate::flags::parse_flags;
+use crate::{record_history, write_trace_files, CliError, Command};
 
 /// Parses `dramdig eval` flags.
 pub(crate) fn parse(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(
+    let ([grid, seed, workers, out, history, observables, trace, metrics], []) = parse_flags(
         rest,
-        &[
+        "eval",
+        [
             "--grid",
             "--seed",
             "--workers",
@@ -22,37 +23,17 @@ pub(crate) fn parse(rest: &[String]) -> Result<Command, CliError> {
             "--trace",
             "--metrics",
         ],
-        "eval",
+        [],
     )?;
-    let grid_name = required(rest, "--grid", "eval")?;
-    let grid = GridKind::from_name(grid_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown --grid `{grid_name}` (expected quick, ci or full)"
-        ))
-    })?;
-    let seed = match flag_value(rest, "--seed") {
-        Some(s) => parse_u64(s)?,
-        None => 1,
-    };
-    let workers = match flag_value(rest, "--workers") {
-        Some(w) => {
-            let workers = parse_u64(w)? as usize;
-            if workers == 0 {
-                return Err(CliError::Usage("--workers must be at least 1".into()));
-            }
-            workers
-        }
-        None => 4,
-    };
     Ok(Command::Eval {
-        grid,
-        seed,
-        workers,
-        out: flag_value(rest, "--out").map(str::to_string),
-        history: flag_value(rest, "--history").map(str::to_string),
-        observables: parse_observables(rest)?,
-        trace: flag_value(rest, "--trace").map(str::to_string),
-        metrics: flag_value(rest, "--metrics").map(str::to_string),
+        grid: grid.grid()?.ok_or_else(|| grid.missing())?,
+        seed: seed.u64_or(1)?,
+        workers: workers.count_or(4)?,
+        out: out.string(),
+        history: history.string(),
+        observables: observables.observables()?,
+        trace: trace.string(),
+        metrics: metrics.string(),
     })
 }
 
@@ -105,25 +86,7 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
     // recorded before must reproduce its line byte-for-byte or the
     // run fails as a scoreboard regression.
     if let Some(path) = history {
-        let existing = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(CliError::Tool(format!("cannot read history {path}: {e}"))),
-        };
-        let line = dramdig_bench::eval::history_line(&outcome);
-        match dramdig_bench::eval::append_history(&existing, &line) {
-            Ok(Some(updated)) => {
-                std::fs::write(path, updated)
-                    .map_err(|e| CliError::Tool(format!("cannot write history {path}: {e}")))?;
-                eprintln!("[dramdig] history: recorded new run in {path}");
-            }
-            Ok(None) => {
-                eprintln!("[dramdig] history: run already recorded in {path}, unchanged");
-            }
-            Err(drift) => {
-                return Err(CliError::Tool(format!("scoreboard {drift}")));
-            }
-        }
+        record_history(path, &dramdig_bench::eval::history_line(&outcome), "run")?;
     }
     Ok(scoreboard)
 }

@@ -7,8 +7,8 @@ use dram_model::parse;
 use dramdig_bench::eval::{EvalGrid, GridKind};
 
 use super::campaign::load_campaign_store;
-use crate::flags::{flag_value, parse_u64, reject_unknown_flags, required};
-use crate::{CliError, Command};
+use crate::flags::{parse_flags, Flag};
+use crate::{machines_sharing, one_bank_function, write_trace_files, CliError, Command};
 
 /// What a `dramdig registry` invocation does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,128 +61,87 @@ pub enum RegistryAction {
     },
 }
 
+/// Parses `dramdig registry` and its action's flags.
 pub(crate) fn parse(rest: &[String]) -> Result<RegistryAction, CliError> {
-    let Some(action) = rest.first() else {
+    let Some((action, rest)) = rest.split_first() else {
         return Err(CliError::Usage(
             "`dramdig registry` requires import, gen, query or stats".into(),
         ));
     };
-    let rest = &rest[1..];
     // Shard count is only honoured when the registry directory is created;
     // reopening keeps the persisted count, so routing never changes under
     // an existing manifest.
-    let shards = |rest: &[String]| -> Result<u32, CliError> {
-        match flag_value(rest, "--shards") {
-            Some(s) => {
-                let shards = parse_u64(s)?;
-                if !(1..=99).contains(&shards) {
-                    return Err(CliError::Usage("--shards must be between 1 and 99".into()));
-                }
-                Ok(shards as u32)
-            }
-            None => Ok(4),
-        }
-    };
+    let shards = |flag: Flag| Ok::<_, CliError>(flag.u32_in(1..=99)?.unwrap_or(4));
     match action.as_str() {
         "import" => {
-            reject_unknown_flags(
+            let ([campaign_dir, registry_dir, shard_count, crash_after], []) = parse_flags(
                 rest,
-                &["--campaign", "--registry", "--shards", "--crash-after"],
                 "registry import",
+                ["--campaign", "--registry", "--shards", "--crash-after"],
+                [],
             )?;
             Ok(RegistryAction::Import {
-                campaign_dir: required(rest, "--campaign", "registry import")?.to_string(),
-                registry_dir: required(rest, "--registry", "registry import")?.to_string(),
-                shards: shards(rest)?,
-                crash_after: flag_value(rest, "--crash-after")
-                    .map(|v| parse_u64(v).map(|v| v as usize))
-                    .transpose()?,
+                campaign_dir: campaign_dir.need()?.to_string(),
+                registry_dir: registry_dir.need()?.to_string(),
+                shards: shards(shard_count)?,
+                crash_after: crash_after.u64()?.map(|v| v as usize),
             })
         }
         "gen" => {
-            reject_unknown_flags(
+            let ([registry_dir, grid, count, seed, shard_count], []) = parse_flags(
                 rest,
-                &["--registry", "--grid", "--count", "--seed", "--shards"],
                 "registry gen",
+                ["--registry", "--grid", "--count", "--seed", "--shards"],
+                [],
             )?;
-            let grid = match flag_value(rest, "--grid") {
-                None => None,
-                Some(name) => Some(GridKind::from_name(name).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown --grid `{name}` (expected quick, ci or full)"
-                    ))
-                })?),
+            let (grid, count) = (grid.grid()?, count.u64()?);
+            let refusal = match (grid, count) {
+                (None, None) => Some("`dramdig registry gen` needs --grid or --count"),
+                (Some(_), Some(_)) => Some("--grid and --count are mutually exclusive"),
+                (_, Some(0)) => Some("--count must be at least 1"),
+                _ => None,
             };
-            let count = flag_value(rest, "--count").map(parse_u64).transpose()?;
-            match (grid, count) {
-                (None, None) => {
-                    return Err(CliError::Usage(
-                        "`dramdig registry gen` needs --grid or --count".into(),
-                    ))
-                }
-                (Some(_), Some(_)) => {
-                    return Err(CliError::Usage(
-                        "--grid and --count are mutually exclusive".into(),
-                    ))
-                }
-                (_, Some(0)) => {
-                    return Err(CliError::Usage("--count must be at least 1".into()));
-                }
-                _ => {}
+            if let Some(refusal) = refusal {
+                return Err(CliError::Usage(refusal.into()));
             }
             Ok(RegistryAction::Gen {
-                registry_dir: required(rest, "--registry", "registry gen")?.to_string(),
+                registry_dir: registry_dir.need()?.to_string(),
                 grid,
                 count,
-                seed: match flag_value(rest, "--seed") {
-                    Some(s) => parse_u64(s)?,
-                    None => 1,
-                },
-                shards: shards(rest)?,
+                seed: seed.u64_or(1)?,
+                shards: shards(shard_count)?,
             })
         }
         "query" => {
-            reject_unknown_flags(
+            let ([registry_dir, func, fingerprint, nearest, k], []) = parse_flags(
                 rest,
-                &["--registry", "--func", "--fingerprint", "--nearest", "--k"],
                 "registry query",
+                ["--registry", "--func", "--fingerprint", "--nearest", "--k"],
+                [],
             )?;
-            let func = flag_value(rest, "--func").map(str::to_string);
-            let fingerprint = flag_value(rest, "--fingerprint").map(str::to_string);
-            let nearest = flag_value(rest, "--nearest").map(str::to_string);
-            let given = [&func, &fingerprint, &nearest]
-                .iter()
-                .filter(|v| v.is_some())
-                .count();
-            if given != 1 {
+            let given = [func, fingerprint, nearest]
+                .into_iter()
+                .filter(|f| f.get().is_some());
+            if given.count() != 1 {
                 return Err(CliError::Usage(
                     "`dramdig registry query` takes exactly one of --func, --fingerprint \
                      or --nearest"
                         .into(),
                 ));
             }
-            let k = match flag_value(rest, "--k") {
-                Some(k) => {
-                    let k = parse_u64(k)? as usize;
-                    if k == 0 {
-                        return Err(CliError::Usage("--k must be at least 1".into()));
-                    }
-                    k
-                }
-                None => 3,
-            };
+            let k = k.count_or(3)?;
             Ok(RegistryAction::Query {
-                registry_dir: required(rest, "--registry", "registry query")?.to_string(),
-                func,
-                fingerprint,
-                nearest,
+                registry_dir: registry_dir.need()?.to_string(),
+                func: func.string(),
+                fingerprint: fingerprint.string(),
+                nearest: nearest.string(),
                 k,
             })
         }
         "stats" => {
-            reject_unknown_flags(rest, &["--registry"], "registry stats")?;
+            let ([registry_dir], []) = parse_flags(rest, "registry stats", ["--registry"], [])?;
             Ok(RegistryAction::Stats {
-                registry_dir: required(rest, "--registry", "registry stats")?.to_string(),
+                registry_dir: registry_dir.need()?.to_string(),
             })
         }
         other => Err(CliError::Usage(format!(
@@ -193,19 +152,26 @@ pub(crate) fn parse(rest: &[String]) -> Result<RegistryAction, CliError> {
 
 /// Parses `dramdig serve` flags.
 pub(crate) fn parse_serve(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(rest, &["--registry", "--input", "--metrics"], "serve")?;
+    let ([registry, input, metrics], []) =
+        parse_flags(rest, "serve", ["--registry", "--input", "--metrics"], [])?;
     Ok(Command::Serve {
-        registry: required(rest, "--registry", "serve")?.to_string(),
-        input: flag_value(rest, "--input").map(str::to_string),
-        metrics: flag_value(rest, "--metrics").map(str::to_string),
+        registry: registry.need()?.to_string(),
+        input: input.string(),
+        metrics: metrics.string(),
     })
+}
+
+/// Opens a registry for reading.
+fn open_shared(registry_dir: &str) -> Result<registry::SharedRegistry, CliError> {
+    registry::SharedRegistry::open(registry_dir)
+        .map_err(|e| CliError::Tool(format!("cannot open registry {registry_dir}: {e}")))
 }
 
 /// Opens (or creates, with `shards`) a registry directory and appends the
 /// not-yet-present `(mapping, source)` attributions from `records`,
 /// optionally crashing mid-append for the CI recovery smoke. Returns the
 /// shared report text both `registry import` and `registry gen` print.
-pub(crate) fn append_to_registry(
+fn append_to_registry(
     registry_dir: &str,
     shards: u32,
     records: Vec<registry::Record>,
@@ -214,7 +180,7 @@ pub(crate) fn append_to_registry(
 ) -> Result<String, CliError> {
     let mut disk = registry::DiskRegistry::open_or_create(registry_dir, shards)
         .map_err(|e| CliError::Tool(format!("cannot open registry {registry_dir}: {e}")))?;
-    let existing = disk.load().map_err(|e| CliError::Tool(e.to_string()))?;
+    let existing = disk.load().map_err(CliError::tool)?;
     let offered = records.len();
     // Skip attributions the registry already holds so a retried import
     // appends nothing instead of duplicate records.
@@ -229,8 +195,8 @@ pub(crate) fn append_to_registry(
     let report = disk
         .append_with_fault(&fresh, crash_after)
         .map_err(|e| CliError::Tool(format!("append to {registry_dir} failed: {e}")))?;
-    let mem = disk.load().map_err(|e| CliError::Tool(e.to_string()))?;
-    let stats = disk.stats().map_err(|e| CliError::Tool(e.to_string()))?;
+    let mem = disk.load().map_err(CliError::tool)?;
+    let stats = disk.stats().map_err(CliError::tool)?;
     let mut out = String::new();
     writeln!(
         out,
@@ -276,33 +242,28 @@ pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
             seed,
             shards,
         } => {
-            let records: Vec<registry::Record> = match (grid, count) {
+            let machines: Vec<(String, dram_model::GeneratedMachine)> = match (grid, count) {
                 (Some(grid), None) => EvalGrid::new(*grid, *seed)
                     .scenarios
-                    .iter()
-                    .map(|scenario| {
-                        registry::Record::new(
-                            scenario.machine.mapping(),
-                            registry::Source::new(
-                                scenario.machine.label.clone(),
-                                format!("gen-{}", scenario.id()),
-                            ),
-                        )
-                    })
+                    .into_iter()
+                    .map(|scenario| (format!("gen-{}", scenario.id()), scenario.machine))
                     .collect(),
                 (None, Some(count)) => (0..*count)
                     .map(|i| {
-                        let machine = dram_model::MachineGen::new(seed.wrapping_add(i))
-                            .generate(dram_model::MachineClass::InScope);
-                        registry::Record::new(
-                            machine.mapping(),
-                            registry::Source::new(machine.label.clone(), "gen-inscope"),
-                        )
+                        let generator = dram_model::MachineGen::new(seed.wrapping_add(i));
+                        let machine = generator.generate(dram_model::MachineClass::InScope);
+                        ("gen-inscope".to_string(), machine)
                     })
                     .collect(),
-                // Parsing enforces exactly one corpus source.
                 _ => unreachable!("parse_registry enforces --grid xor --count"),
             };
+            let records = machines
+                .into_iter()
+                .map(|(tag, machine)| {
+                    let source = registry::Source::new(machine.label.clone(), tag);
+                    registry::Record::new(machine.mapping(), source)
+                })
+                .collect();
             append_to_registry(registry_dir, *shards, records, None, "generated")
         }
         RegistryAction::Query {
@@ -312,19 +273,12 @@ pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
             nearest,
             k,
         } => {
-            let shared = registry::SharedRegistry::open(registry_dir)
-                .map_err(|e| CliError::Tool(format!("cannot open registry {registry_dir}: {e}")))?;
+            let shared = open_shared(registry_dir)?;
             let snapshot = shared.snapshot();
             let mut out = String::new();
             if let Some(func) = func {
-                let funcs = parse::parse_functions(func)
-                    .map_err(|e| CliError::Tool(format!("invalid --func: {e}")))?;
-                let [func] = funcs.as_slice() else {
-                    return Err(CliError::Tool(
-                        "--func expects exactly one bank function, e.g. \"(13, 16)\"".into(),
-                    ));
-                };
-                let (entries, cost) = snapshot.mem.entries_sharing_costed(*func);
+                let func = one_bank_function(func)?;
+                let (entries, cost) = snapshot.mem.entries_sharing_costed(func);
                 writeln!(
                     out,
                     "bank function {func} appears in {} of {} registry entries \
@@ -334,32 +288,23 @@ pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
                     cost.candidates,
                 )
                 .expect("write to string");
-                let mut machines = std::collections::BTreeSet::new();
                 for entry in &entries {
-                    let entry_machines = entry.machines();
                     writeln!(
                         out,
                         "entry = {:016x} machines = {}",
                         entry.fingerprint,
-                        entry_machines
+                        entry
+                            .machines()
                             .iter()
                             .copied()
                             .collect::<Vec<_>>()
                             .join(", "),
                     )
                     .expect("write to string");
-                    machines.extend(entry_machines);
                 }
-                if machines.is_empty() {
-                    writeln!(out, "no machine shares it").expect("write to string");
-                } else {
-                    writeln!(
-                        out,
-                        "machines sharing it: {}",
-                        machines.into_iter().collect::<Vec<_>>().join(", ")
-                    )
-                    .expect("write to string");
-                }
+                out.push_str(&machines_sharing(
+                    entries.iter().flat_map(|entry| entry.machines()),
+                ));
             } else if let Some(fingerprint) = fingerprint {
                 let parsed = u64::from_str_radix(fingerprint, 16).map_err(|e| {
                     CliError::Tool(format!("invalid --fingerprint `{fingerprint}`: {e}"))
@@ -408,10 +353,9 @@ pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
             Ok(out)
         }
         RegistryAction::Stats { registry_dir } => {
-            let shared = registry::SharedRegistry::open(registry_dir)
-                .map_err(|e| CliError::Tool(format!("cannot open registry {registry_dir}: {e}")))?;
+            let shared = open_shared(registry_dir)?;
             let snapshot = shared.snapshot();
-            let stats = shared.stats().map_err(|e| CliError::Tool(e.to_string()))?;
+            let stats = shared.stats().map_err(CliError::tool)?;
             let mut out = String::new();
             writeln!(
                 out,
@@ -442,26 +386,15 @@ pub(crate) fn serve(
     input: Option<&str>,
     metrics_path: Option<&str>,
 ) -> Result<String, CliError> {
-    let shared = registry::SharedRegistry::open(registry_dir)
-        .map_err(|e| CliError::Tool(format!("cannot open registry {registry_dir}: {e}")))?;
+    let shared = open_shared(registry_dir)?;
     let requests = match input {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| CliError::Tool(format!("cannot read {path}: {e}")))?,
-        None => {
-            use std::io::Read as _;
-            let mut text = String::new();
-            std::io::stdin()
-                .read_to_string(&mut text)
-                .map_err(|e| CliError::Tool(format!("cannot read stdin: {e}")))?;
-            text
-        }
+        None => std::io::read_to_string(std::io::stdin())
+            .map_err(|e| CliError::Tool(format!("cannot read stdin: {e}")))?,
     };
     let mut metrics = telemetry::Registry::new();
-    let out = registry::serve_text(&requests, &shared, &mut metrics)
-        .map_err(|e| CliError::Tool(e.to_string()))?;
-    if let Some(path) = metrics_path {
-        std::fs::write(path, metrics.snapshot())
-            .map_err(|e| CliError::Tool(format!("cannot write metrics to {path}: {e}")))?;
-    }
+    let out = registry::serve_text(&requests, &shared, &mut metrics).map_err(CliError::tool)?;
+    write_trace_files(&telemetry::Tracer::new(), &metrics, None, metrics_path)?;
     Ok(out)
 }

@@ -9,7 +9,7 @@ use dram_sim::{SimConfig, SimMachine};
 use dramdig::{DomainKnowledge, DramDig, DramDigConfig};
 use rowhammer::{run_double_sided, AttackerView, HammerConfig};
 
-use crate::flags::{flag_value, parse_machine, parse_u64, reject_unknown_flags, required};
+use crate::flags::{parse_flags, parse_u64};
 use crate::{probe_for, setting_for, CliError, Command};
 
 /// Which tool's mapping to hammer with.
@@ -25,17 +25,18 @@ pub enum HammerTool {
 
 /// Parses `dramdig compare` flags.
 pub(crate) fn parse_compare(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(rest, &["--machine"], "compare")?;
+    let ([machine], []) = parse_flags(rest, "compare", ["--machine"], [])?;
     Ok(Command::Compare {
-        machine: parse_machine(rest, "compare")?,
+        machine: machine.machine()?,
     })
 }
 
 /// Parses `dramdig hammer` flags.
 pub(crate) fn parse_hammer(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(rest, &["--machine", "--tool", "--tests"], "hammer")?;
-    let machine = parse_machine(rest, "hammer")?;
-    let tool = match flag_value(rest, "--tool") {
+    let ([machine, tool, tests], []) =
+        parse_flags(rest, "hammer", ["--machine", "--tool", "--tests"], [])?;
+    let machine = machine.machine()?;
+    let tool = match tool.get() {
         None | Some("dramdig") => HammerTool::DramDig,
         Some("drama") => HammerTool::Drama,
         Some("truth") => HammerTool::Truth,
@@ -45,34 +46,30 @@ pub(crate) fn parse_hammer(rest: &[String]) -> Result<Command, CliError> {
             )))
         }
     };
-    let tests = match flag_value(rest, "--tests") {
-        Some(t) => u32::try_from(parse_u64(t)?)
-            .map_err(|_| CliError::Usage(format!("--tests `{t}` does not fit 32 bits")))?,
-        None => 1,
-    };
     Ok(Command::Hammer {
         machine,
         tool,
-        tests,
+        tests: tests.u32_in(0..=u32::MAX)?.unwrap_or(1),
     })
 }
 
 /// Parses `dramdig decode` flags.
 pub(crate) fn parse_decode(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(rest, &["--machine", "--addr"], "decode")?;
+    let ([machine, addr], []) = parse_flags(rest, "decode", ["--machine", "--addr"], [])?;
     Ok(Command::Decode {
-        machine: parse_machine(rest, "decode")?,
-        addr: parse_u64(required(rest, "--addr", "decode")?)?,
+        machine: machine.machine()?,
+        addr: parse_u64(addr.need()?)?,
     })
 }
 
 /// Parses `dramdig validate` flags.
 pub(crate) fn parse_validate(rest: &[String]) -> Result<Command, CliError> {
-    reject_unknown_flags(rest, &["--funcs", "--rows", "--cols"], "validate")?;
+    let ([funcs, rows, cols], []) =
+        parse_flags(rest, "validate", ["--funcs", "--rows", "--cols"], [])?;
     Ok(Command::Validate {
-        funcs: required(rest, "--funcs", "validate")?.to_string(),
-        rows: required(rest, "--rows", "validate")?.to_string(),
-        cols: required(rest, "--cols", "validate")?.to_string(),
+        funcs: funcs.need()?.to_string(),
+        rows: rows.need()?.to_string(),
+        cols: cols.need()?.to_string(),
     })
 }
 
@@ -87,8 +84,8 @@ pub(crate) fn list_machines() -> Result<String, CliError> {
 }
 
 /// Runs `dramdig compare`.
-pub(crate) fn compare(machine: &u8) -> Result<String, CliError> {
-    let setting = setting_for(*machine)?;
+pub(crate) fn compare(machine: u8) -> Result<String, CliError> {
+    let setting = setting_for(machine)?;
     let mut out = String::new();
     writeln!(out, "comparing tools on {setting}").expect("write to string");
 
@@ -139,8 +136,8 @@ pub(crate) fn compare(machine: &u8) -> Result<String, CliError> {
 }
 
 /// Runs `dramdig hammer`.
-pub(crate) fn hammer(machine: &u8, tool: &HammerTool, tests: &u32) -> Result<String, CliError> {
-    let setting = setting_for(*machine)?;
+pub(crate) fn hammer(machine: u8, tool: HammerTool, tests: u32) -> Result<String, CliError> {
+    let setting = setting_for(machine)?;
     let view = match tool {
         HammerTool::Truth => AttackerView::from_mapping(setting.mapping()),
         HammerTool::DramDig => {
@@ -148,14 +145,14 @@ pub(crate) fn hammer(machine: &u8, tool: &HammerTool, tests: &u32) -> Result<Str
             let knowledge = DomainKnowledge::new(setting.system, Some(setting.microarch));
             let report = DramDig::new(knowledge, DramDigConfig::default())
                 .run(&mut probe)
-                .map_err(|e| CliError::Tool(e.to_string()))?;
+                .map_err(CliError::tool)?;
             AttackerView::from_mapping(&report.mapping)
         }
         HammerTool::Drama => {
             let mut probe = probe_for(&setting, 2);
             let outcome = Drama::new(DramaConfig::fast())
                 .run(&mut probe, setting.system.address_bits())
-                .map_err(|e| CliError::Tool(e.to_string()))?;
+                .map_err(CliError::tool)?;
             AttackerView::new(outcome.functions, outcome.row_bits)
         }
     };
@@ -168,7 +165,7 @@ pub(crate) fn hammer(machine: &u8, tool: &HammerTool, tests: &u32) -> Result<Str
     )
     .expect("write to string");
     let mut total = 0usize;
-    for test in 0..*tests {
+    for test in 0..tests {
         let mut sim = SimMachine::from_setting(
             &setting,
             SimConfig::fast_rowhammer().with_seed(0xCC + u64::from(test)),
@@ -191,19 +188,17 @@ pub(crate) fn hammer(machine: &u8, tool: &HammerTool, tests: &u32) -> Result<Str
 }
 
 /// Runs `dramdig decode`.
-pub(crate) fn decode(machine: &u8, addr: &u64) -> Result<String, CliError> {
-    let setting = setting_for(*machine)?;
+pub(crate) fn decode(machine: u8, addr: u64) -> Result<String, CliError> {
+    let setting = setting_for(machine)?;
     let mapping = setting.mapping();
     let capacity = mapping.capacity_bytes();
-    if *addr >= capacity {
+    if addr >= capacity {
         return Err(CliError::Tool(format!(
             "address {addr:#x} is beyond the {capacity:#x}-byte module"
         )));
     }
-    let dram = mapping.to_dram(PhysAddr::new(*addr));
-    let back = mapping
-        .to_phys(dram)
-        .map_err(|e| CliError::Tool(e.to_string()))?;
+    let dram = mapping.to_dram(PhysAddr::new(addr));
+    let back = mapping.to_phys(dram).map_err(CliError::tool)?;
     Ok(format!(
         "machine {}: {:#x} -> {dram} (round-trips to {back})\n",
         setting.label(),
@@ -213,13 +208,12 @@ pub(crate) fn decode(machine: &u8, addr: &u64) -> Result<String, CliError> {
 
 /// Runs `dramdig validate`.
 pub(crate) fn validate(funcs: &str, rows: &str, cols: &str) -> Result<String, CliError> {
-    match parse::parse_mapping(funcs, rows, cols) {
-        Ok(mapping) => Ok(format!(
-            "valid mapping: {mapping}\n  banks: {}, rows per bank: {}, row size: {} bytes\n",
-            mapping.num_banks(),
-            mapping.num_rows(),
-            mapping.row_size_bytes()
-        )),
-        Err(e) => Err(CliError::Tool(format!("invalid mapping: {e}"))),
-    }
+    let mapping = parse::parse_mapping(funcs, rows, cols)
+        .map_err(|e| CliError::Tool(format!("invalid mapping: {e}")))?;
+    Ok(format!(
+        "valid mapping: {mapping}\n  banks: {}, rows per bank: {}, row size: {} bytes\n",
+        mapping.num_banks(),
+        mapping.num_rows(),
+        mapping.row_size_bytes()
+    ))
 }

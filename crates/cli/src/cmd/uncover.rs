@@ -8,78 +8,65 @@ use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, Tel
 use mem_probe::ObservableKind;
 use rowhammer::{FlipAdjacencyConfig, FlipAdjacencyObservable};
 
-use crate::flags::{
-    flag_value, parse_machine, parse_observables, parse_u64, reject_unknown_flags_with_bare,
-};
+use crate::flags::parse_flags;
 use crate::{probe_for, setting_for, write_trace_files, Ablation, CliError, Command};
 
 /// Parses `dramdig uncover` flags.
 pub(crate) fn parse(rest: &[String]) -> Result<Command, CliError> {
-    // A misspelled stateful flag (`--chekpoint`, `--budjet`)
-    // must fail loudly: silently running without checkpoints
-    // would lose all work on the next kill.
-    reject_unknown_flags_with_bare(
-        rest,
-        &[
-            "--machine",
-            "--seed",
-            "--ablate",
-            "--checkpoint",
-            "--budget",
-            "--observables",
-            "--trace",
-            "--metrics",
-        ],
-        &["--resume"],
-        "uncover",
-    )?;
-    let machine = parse_machine(rest, "uncover")?;
-    let seed = match flag_value(rest, "--seed") {
-        Some(s) => parse_u64(s)?,
-        None => 0xD16,
-    };
-    let ablate = match flag_value(rest, "--ablate") {
-        None => None,
-        Some(name) => Some(Ablation::from_name(name).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown --ablate group `{name}` (expected spec, sysinfo or empirical)"
-            ))
-        })?),
-    };
-    let checkpoint = flag_value(rest, "--checkpoint").map(str::to_string);
-    let resume = rest.iter().any(|a| a == "--resume");
-    if resume && checkpoint.is_none() {
+    let ([machine, seed, ablate, checkpoint, budget, observables, trace, metrics], [resume]) =
+        parse_flags(
+            rest,
+            "uncover",
+            [
+                "--machine",
+                "--seed",
+                "--ablate",
+                "--checkpoint",
+                "--budget",
+                "--observables",
+                "--trace",
+                "--metrics",
+            ],
+            ["--resume"],
+        )?;
+    let machine = machine.machine()?;
+    let seed = seed.u64_or(0xD16)?;
+    let ablate = ablate
+        .get()
+        .map(|name| {
+            Ablation::from_name(name).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "unknown --ablate group `{name}` (expected spec, sysinfo or empirical)"
+                ))
+            })
+        })
+        .transpose()?;
+    if resume && checkpoint.get().is_none() {
         return Err(CliError::Usage(
             "`--resume` requires `--checkpoint <dir>` naming the run to continue".into(),
         ));
     }
-    let budget = match flag_value(rest, "--budget") {
-        None => None,
-        Some(b) => {
-            let cap = parse_u64(b)?;
-            // Caught at parse time: a zero budget can only ever
-            // interrupt before calibration, which reads as a
-            // confusing mid-run failure instead of a bad flag.
-            if cap == 0 {
-                return Err(CliError::Usage(
-                    "--budget must be at least 1 pair measurement \
-                     (a budget of 0 cannot run any phase)"
-                        .into(),
-                ));
-            }
-            Some(cap)
-        }
-    };
+    // Caught at parse time: a zero budget can only ever interrupt before
+    // calibration, which reads as a confusing mid-run failure instead of a
+    // bad flag.
+    let budget = budget.u64()?;
+    if budget == Some(0) {
+        return Err(CliError::Usage(
+            "--budget must be at least 1 pair measurement \
+             (a budget of 0 cannot run any phase)"
+                .into(),
+        ));
+    }
     Ok(Command::Uncover {
         machine,
         seed,
         ablate,
-        checkpoint,
+        checkpoint: checkpoint.string(),
         resume,
         budget,
-        observables: parse_observables(rest)?,
-        trace: flag_value(rest, "--trace").map(str::to_string),
-        metrics: flag_value(rest, "--metrics").map(str::to_string),
+        observables: observables.observables()?,
+        trace: trace.string(),
+        metrics: metrics.string(),
     })
 }
 
@@ -142,28 +129,6 @@ impl Observer for ProgressLine {
     }
 }
 
-/// Writes a run's recorded telemetry to the `--trace` / `--metrics` paths.
-/// A no-op when neither flag was given (`telemetry` is `None`).
-fn write_telemetry(
-    telemetry: Option<TelemetryObserver>,
-    trace: Option<&str>,
-    metrics: Option<&str>,
-) -> Result<(), CliError> {
-    let Some(observer) = telemetry else {
-        return Ok(());
-    };
-    let (tracer, registry) = observer.into_parts();
-    write_trace_files(&tracer, &registry, trace, metrics)
-}
-
-/// What `uncover --checkpoint` remembers about the run besides the pipeline
-/// configuration: enough to refuse a `--resume` against the wrong machine
-/// or ablation.
-fn uncover_meta(machine: u8, ablate: Option<Ablation>) -> String {
-    let ablate = ablate.map_or("none", Ablation::as_str);
-    format!("machine = {machine}\nablate = {ablate}\n")
-}
-
 /// Runs `dramdig uncover`.
 pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
     let Command::Uncover {
@@ -182,7 +147,13 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
     };
     let setting = setting_for(*machine)?;
     let mut config = DramDigConfig::default().with_seed(*seed);
-    let meta = uncover_meta(*machine, *ablate);
+    // What `--checkpoint` remembers about the run besides the pipeline
+    // configuration: enough to refuse a `--resume` against the wrong
+    // machine or ablation.
+    let meta = format!(
+        "machine = {machine}\nablate = {}\n",
+        ablate.map_or("none", Ablation::as_str)
+    );
     if let Some(dir) = checkpoint {
         let store = CheckpointStore::new(dir);
         let meta_path = store.dir().join("uncover.meta");
@@ -220,7 +191,7 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
             // simulated machine.
             config = store
                 .load_config()
-                .map_err(|e| CliError::Tool(e.to_string()))?
+                .map_err(CliError::tool)?
                 .ok_or_else(|| {
                     CliError::Tool(format!("{dir} holds no recorded configuration to resume"))
                 })?;
@@ -231,18 +202,15 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
     if let Some(ablation) = ablate {
         knowledge = ablation.apply(knowledge);
     }
-    let mut options = EngineOptions::default();
+    // Per-batch oracle events only exist when someone records them; they
+    // cost nothing otherwise.
+    let telemetry_on = trace.is_some() || metrics.is_some();
+    let mut options = EngineOptions::default().with_fine_events(telemetry_on);
     if let Some(dir) = checkpoint {
         options = options.with_checkpoint(dir);
     }
     if let Some(cap) = budget {
         options = options.with_budget(Budget::measurements(*cap));
-    }
-    let telemetry_on = trace.is_some() || metrics.is_some();
-    if telemetry_on {
-        // Per-batch oracle events only exist when someone records
-        // them; they cost nothing otherwise.
-        options = options.with_fine_events(true);
     }
     let mut probe = probe_for(&setting, config.rng_seed);
     let hammer_seed = config.rng_seed ^ 0xF11A;
@@ -271,7 +239,11 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
     };
     // Written before the result is inspected: an interrupted run's
     // trace (a byte-prefix of the full run's) is evidence too.
-    write_telemetry(telemetry, trace.as_deref(), metrics.as_deref())?;
+    if let Some(observer) = telemetry {
+        let (tracer, registry) = observer.into_parts();
+        write_trace_files(&tracer, &registry, trace.as_deref(), metrics.as_deref())?;
+    }
+    let mut out = format!("machine        : {setting}\n");
     let report = match run_result {
         Ok(report) => report,
         Err(DramDigError::Interrupted { phase, reason }) if checkpoint.is_some() => {
@@ -279,8 +251,6 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
             // The suggested command must reproduce this run exactly,
             // ablation included, or the uncover.meta guard refuses it.
             let ablate_flag = ablate.map(|a| format!(" --ablate {a}")).unwrap_or_default();
-            let mut out = String::new();
-            writeln!(out, "machine        : {setting}").expect("write to string");
             writeln!(out, "interrupted before {phase}: {reason}").expect("write");
             writeln!(
                 out,
@@ -289,10 +259,8 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
             .expect("write to string");
             return Ok(out);
         }
-        Err(e) => return Err(CliError::Tool(e.to_string())),
+        Err(e) => return Err(CliError::tool(e)),
     };
-    let mut out = String::new();
-    writeln!(out, "machine        : {setting}").expect("write to string");
     writeln!(out, "{report}").expect("write to string");
     writeln!(
         out,

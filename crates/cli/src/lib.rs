@@ -1,44 +1,24 @@
 //! Command-line front end for the DRAMDig reproduction.
 //!
-//! The binary is called `dramdig` and offers one sub-command per workflow:
-//!
-//! ```text
-//! dramdig list-machines
-//! dramdig uncover  --machine 4 [--seed 7] [--ablate spec|sysinfo|empirical]
-//!                  [--checkpoint dir] [--resume] [--budget 600]
-//! dramdig compare  --machine 2
-//! dramdig hammer   --machine 1 [--tool dramdig|drama|truth] [--tests 5]
-//! dramdig decode   --machine 6 --addr 0x3fe4c40
-//! dramdig validate --funcs "(13, 16), (14, 17), (15, 18)" --rows 16~31 --cols 0~12
-//! dramdig eval     --grid ci [--seed 1] [--workers 4] [--out SCOREBOARD.txt]
-//! dramdig campaign run    --dir t2 --machines 1-9 [--seeds 1] [--profiles optimized]
-//! dramdig campaign resume --dir t2 [--workers 4]
-//! dramdig campaign status --dir t2
-//! dramdig campaign query  --dir t2 --func "(13, 16)"
-//! dramdig campaign mapreduce --dir grid --scenarios 1000 [--processes 4]
-//! dramdig campaign worker [--inject-kill 2]
-//! dramdig campaign dlq    list --dir grid
-//! dramdig registry import --campaign t2 --registry reg [--shards 4]
-//! dramdig registry gen    --registry reg --grid ci
-//! dramdig registry query  --registry reg --func "(13, 16)"
-//! dramdig registry stats  --registry reg
-//! dramdig serve    --registry reg [--input requests.txt] [--metrics m.txt]
-//! ```
+//! The binary is called `dramdig` and offers one sub-command per workflow;
+//! [`usage`] (printed by `dramdig help`) is the one description of the
+//! grammar.
 //!
 //! Everything runs against the simulated machines of Table II; on a real
 //! machine the same library calls can be driven with
 //! [`mem_probe::HwProbe`] instead (see the `hardware_probe` example).
 //!
 //! Argument parsing is deliberately dependency-free: [`Command::parse`]
-//! understands `--flag value` pairs and returns a typed command that
-//! [`execute`] turns into a plain-text report.
+//! binds each sub-command's flag table in one pass and returns a typed
+//! command that [`execute`] turns into a plain-text report. Each
+//! sub-command's parse and execute live together in one module.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 use std::fmt;
 
-use dram_model::MachineSetting;
+use dram_model::{MachineSetting, XorFunc};
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
 use dramdig_bench::eval::GridKind;
 use mem_probe::{ObservableKind, SimProbe};
@@ -187,6 +167,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl CliError {
+    /// A failed library call, reported in the library's own words.
+    pub(crate) fn tool(error: impl fmt::Display) -> Self {
+        CliError::Tool(error.to_string())
+    }
+}
+
 /// The usage string printed on parse errors and by `dramdig help`.
 pub fn usage() -> String {
     concat!(
@@ -217,7 +204,7 @@ pub fn usage() -> String {
         "  dramdig campaign mapreduce --dir <dir> --scenarios <n> [--seed <u64>]\n",
         "                          [--profile naive|default|fast|optimized]\n",
         "                          [--retries <n>] [--processes <n>]\n",
-        "                          [--transport process|sim] [--worker-bin <path>]\n",
+        "                          [--transport process|sim]\n",
         "                          [--inject-kill <worker>:<request>]\n",
         "                          [--history <path>] [--metrics <path>]\n",
         "  dramdig campaign worker [--inject-kill <n>]\n",
@@ -242,10 +229,9 @@ impl Command {
     ///
     /// Returns [`CliError::Usage`] describing what is missing or malformed.
     pub fn parse(args: &[String]) -> Result<Self, CliError> {
-        let Some(sub) = args.first() else {
+        let Some((sub, rest)) = args.split_first() else {
             return Err(CliError::Usage("no sub-command given".into()));
         };
-        let rest = &args[1..];
         match sub.as_str() {
             "list-machines" => Ok(Command::ListMachines),
             "help" | "--help" | "-h" => Ok(Command::Help),
@@ -263,6 +249,7 @@ impl Command {
     }
 }
 
+/// The Table-II setting of a machine number.
 pub(crate) fn setting_for(machine: u8) -> Result<MachineSetting, CliError> {
     MachineSetting::by_number(machine).ok_or(CliError::UnknownMachine(machine))
 }
@@ -286,6 +273,52 @@ pub(crate) fn write_trace_files(
     Ok(())
 }
 
+/// Appends `line` to the longitudinal history file at `path` under the
+/// drift gate: a key recorded before must reproduce its line byte for byte,
+/// or the run fails as a scoreboard regression. `what` names the recorded
+/// thing (`run`, `grid`) in the progress line.
+pub(crate) fn record_history(path: &str, line: &str, what: &str) -> Result<(), CliError> {
+    let existing = match std::fs::read_to_string(path) {
+        Ok(contents) => contents,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(CliError::Tool(format!("cannot read history {path}: {e}"))),
+    };
+    match dramdig_bench::eval::append_history(&existing, line) {
+        Ok(Some(updated)) => {
+            std::fs::write(path, updated)
+                .map_err(|e| CliError::Tool(format!("cannot write history {path}: {e}")))?;
+            eprintln!("[dramdig] history: recorded new {what} in {path}");
+        }
+        Ok(None) => eprintln!("[dramdig] history: {what} already recorded in {path}, unchanged"),
+        Err(drift) => return Err(CliError::Tool(format!("scoreboard {drift}"))),
+    }
+    Ok(())
+}
+
+/// Parses a `--func` argument that must name exactly one bank function.
+pub(crate) fn one_bank_function(text: &str) -> Result<XorFunc, CliError> {
+    let funcs = dram_model::parse::parse_functions(text)
+        .map_err(|e| CliError::Tool(format!("invalid --func: {e}")))?;
+    match funcs.as_slice() {
+        [func] => Ok(*func),
+        _ => Err(CliError::Tool(
+            "--func expects exactly one bank function, e.g. \"(13, 16)\"".into(),
+        )),
+    }
+}
+
+/// The closing line of a `--func` query: the machines whose stored
+/// mappings share the function, in order and without repeats.
+pub(crate) fn machines_sharing<'a>(machines: impl IntoIterator<Item = &'a str>) -> String {
+    let machines: std::collections::BTreeSet<&str> = machines.into_iter().collect();
+    if machines.is_empty() {
+        return "no machine shares it\n".into();
+    }
+    let machines: Vec<&str> = machines.into_iter().collect();
+    format!("machines sharing it: {}\n", machines.join(", "))
+}
+
+/// A simulated probe over the whole module of `setting`.
 pub(crate) fn probe_for(setting: &MachineSetting, seed: u64) -> SimProbe {
     let machine = SimMachine::from_setting(setting, SimConfig::default().with_seed(seed));
     SimProbe::new(machine, PhysMemory::full(setting.system.capacity_bytes))
@@ -302,13 +335,13 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Help => Ok(usage()),
         Command::ListMachines => cmd::tools::list_machines(),
         Command::Uncover { .. } => cmd::uncover::execute(command),
-        Command::Compare { machine } => cmd::tools::compare(machine),
+        Command::Compare { machine } => cmd::tools::compare(*machine),
         Command::Hammer {
             machine,
             tool,
             tests,
-        } => cmd::tools::hammer(machine, tool, tests),
-        Command::Decode { machine, addr } => cmd::tools::decode(machine, addr),
+        } => cmd::tools::hammer(*machine, *tool, *tests),
+        Command::Decode { machine, addr } => cmd::tools::decode(*machine, *addr),
         Command::Eval { .. } => cmd::eval::execute(command),
         Command::Campaign(action) => cmd::campaign::execute(action),
         Command::Registry(action) => cmd::registry::execute(action),

@@ -87,6 +87,44 @@ fn rejects_malformed_command_lines() {
     assert!(Command::parse(&args(&["uncover", "--machine", "4", "--ablate", "magic"])).is_err());
     assert!(Command::parse(&args(&["hammer", "--machine", "1", "--tool", "hope"])).is_err());
     assert!(Command::parse(&args(&["decode", "--machine", "1"])).is_err());
+    // Each flag is bound once: a repeated flag is refused, not resolved to
+    // its first value, and a flag name is never taken as another's value.
+    for (line, needle) in [
+        (
+            vec![
+                "decode",
+                "--machine",
+                "4",
+                "--addr",
+                "0x10",
+                "--addr",
+                "0x20",
+            ],
+            "`--addr` is given twice",
+        ),
+        (
+            vec!["uncover", "--machine", "4", "--checkpoint", "--resume"],
+            "`--checkpoint` requires a value, not the flag `--resume`",
+        ),
+        (
+            vec![
+                "uncover",
+                "--machine",
+                "4",
+                "--checkpoint",
+                "d",
+                "--resume",
+                "--resume",
+            ],
+            "`--resume` is given twice",
+        ),
+    ] {
+        let err = Command::parse(&args(&line)).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains(needle)),
+            "{line:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -460,6 +498,18 @@ fn eval_parses_and_rejects_bad_flags() {
     );
     assert!(Command::parse(&args(&["eval"])).is_err());
     assert!(Command::parse(&args(&["eval", "--grid", "huge"])).is_err());
+    // The 1,000-scenario benchmark grid is not a command-line preset.
+    for line in [
+        vec!["eval", "--grid", "big"],
+        vec!["registry", "gen", "--registry", "reg", "--grid", "big"],
+    ] {
+        let err = Command::parse(&args(&line)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown --grid `big` (expected quick, ci or full)",
+            "{line:?}"
+        );
+    }
     assert!(Command::parse(&args(&["eval", "--grid", "ci", "--workers", "0"])).is_err());
     assert!(Command::parse(&args(&["eval", "--grid", "ci", "--grids", "x"])).is_err());
 }
@@ -781,7 +831,6 @@ fn parse_table_covers_campaign_and_existing_flags() {
                 },
                 processes: 4,
                 transport: MapTransport::Process,
-                worker_bin: None,
                 inject_kill: None,
                 history: None,
                 metrics: None,
@@ -820,7 +869,6 @@ fn parse_table_covers_campaign_and_existing_flags() {
                 },
                 processes: 3,
                 transport: MapTransport::Sim,
-                worker_bin: None,
                 inject_kill: Some((1, 2)),
                 history: Some("h.txt".into()),
                 metrics: None,
@@ -1417,7 +1465,6 @@ fn campaign_status_reads_a_mapreduce_grid_directory() {
         spec: spec.clone(),
         processes: 2,
         transport: MapTransport::Sim,
-        worker_bin: None,
         inject_kill: None,
         history: None,
         metrics: None,
@@ -1476,7 +1523,6 @@ fn mapreduce_lifecycle_with_kill_and_dlq_requeue() {
             spec: spec.clone(),
             processes: 3,
             transport: MapTransport::Sim,
-            worker_bin: None,
             inject_kill,
             history: with_history.then(|| history.to_str().unwrap().to_string()),
             metrics: None,
@@ -1508,7 +1554,6 @@ fn mapreduce_lifecycle_with_kill_and_dlq_requeue() {
         },
         processes: 1,
         transport: MapTransport::Sim,
-        worker_bin: None,
         inject_kill: None,
         history: None,
         metrics: None,
