@@ -11,7 +11,7 @@ use campaign::{
 
 use campaign::mapreduce::{grid_history_line, GridSpec};
 
-use crate::flags::{parse_flags, parse_u64, Flag};
+use crate::flags::{parse_flags, parse_u64};
 use crate::{machines_sharing, one_bank_function, record_history, write_trace_files, CliError};
 
 /// What a `dramdig campaign` invocation does.
@@ -158,11 +158,10 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                 .into(),
         ));
     };
-    let limit = |flag: Flag| Ok::<_, CliError>(flag.u64()?.map(|v| v as usize));
     match action.as_str() {
         "run" => {
             let (
-                [dir, machines, seeds, profiles, ablations, retries, workers, cap, trace, metrics],
+                [dir, machines, seeds, profiles, ablations, retries, workers, limit, trace, metrics],
                 [],
             ) = parse_flags(
                 rest,
@@ -210,13 +209,13 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
                 dir,
                 spec,
                 workers: workers.count_or(4)?,
-                limit: limit(cap)?,
+                limit: limit.u64()?.map(|v| v as usize),
                 trace: trace.string(),
                 metrics: metrics.string(),
             })
         }
         "resume" => {
-            let ([dir, workers, cap], []) = parse_flags(
+            let ([dir, workers, limit], []) = parse_flags(
                 rest,
                 "campaign resume",
                 ["--dir", "--workers", "--limit"],
@@ -225,7 +224,7 @@ pub(crate) fn parse(rest: &[String]) -> Result<CampaignAction, CliError> {
             Ok(CampaignAction::Resume {
                 dir: dir.need()?.to_string(),
                 workers: workers.count_or(4)?,
-                limit: limit(cap)?,
+                limit: limit.u64()?.map(|v| v as usize),
             })
         }
         "status" => {
@@ -501,6 +500,7 @@ fn drive_campaign(
     Ok(out)
 }
 
+/// Runs a `dramdig campaign` action.
 pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
     match action {
         CampaignAction::Run {

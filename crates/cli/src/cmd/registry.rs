@@ -218,6 +218,7 @@ fn append_to_registry(
     Ok(out)
 }
 
+/// Runs a `dramdig registry` action.
 pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
     match action {
         RegistryAction::Import {
@@ -255,7 +256,7 @@ pub(crate) fn execute(action: &RegistryAction) -> Result<String, CliError> {
                         ("gen-inscope".to_string(), machine)
                     })
                     .collect(),
-                _ => unreachable!("parse_registry enforces --grid xor --count"),
+                _ => unreachable!("the parse enforces --grid xor --count"),
             };
             let records = machines
                 .into_iter()

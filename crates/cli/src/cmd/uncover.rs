@@ -31,16 +31,14 @@ pub(crate) fn parse(rest: &[String]) -> Result<Command, CliError> {
         )?;
     let machine = machine.machine()?;
     let seed = seed.u64_or(0xD16)?;
-    let ablate = ablate
-        .get()
-        .map(|name| {
-            Ablation::from_name(name).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown --ablate group `{name}` (expected spec, sysinfo or empirical)"
-                ))
-            })
-        })
-        .transpose()?;
+    let ablate = match ablate.get() {
+        None => None,
+        Some(name) => Some(Ablation::from_name(name).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown --ablate group `{name}` (expected spec, sysinfo or empirical)"
+            ))
+        })?),
+    };
     if resume && checkpoint.get().is_none() {
         return Err(CliError::Usage(
             "`--resume` requires `--checkpoint <dir>` naming the run to continue".into(),
