@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use dram_sim::{SimConfig, SimMachine};
-use dramdig::engine::{Budget, EngineEvent, EngineOptions, Observer, PipelineEngine};
+use dramdig::engine::{EngineEvent, EngineOptions, Observer, PipelineEngine};
 use dramdig::{CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, TelemetryObserver};
 use mem_probe::ObservableKind;
 use rowhammer::{FlipAdjacencyConfig, FlipAdjacencyObservable};
@@ -208,7 +208,7 @@ pub(crate) fn execute(command: &Command) -> Result<String, CliError> {
         options = options.with_checkpoint(dir);
     }
     if let Some(cap) = budget {
-        options = options.with_budget(Budget::measurements(*cap));
+        options = options.with_max_measurements(*cap);
     }
     let mut probe = probe_for(&setting, config.rng_seed);
     let hammer_seed = config.rng_seed ^ 0xF11A;

@@ -1,19 +1,18 @@
 //! The resumable, observable pipeline engine.
 //!
-//! [`PipelineEngine`] is an explicit state machine over [`Phase::ALL`]: each
-//! phase is a [`PhaseRunner`] that consumes the typed artifacts of earlier
-//! phases from the [`PipelineState`] and produces exactly one
-//! [`PhaseArtifact`] of its own. Around that loop the engine provides what
-//! the one-shot [`crate::DramDig`] wrapper cannot:
+//! [`PipelineEngine`] runs the six phases of [`Phase::ALL`] in order: each
+//! phase reads the typed artifacts of earlier phases and produces exactly
+//! one [`PhaseArtifact`] of its own. Around that sequence the engine
+//! provides what the one-shot [`crate::DramDig`] wrapper cannot:
 //!
 //! * **Checkpoints** — with [`EngineOptions::checkpoint`] set, every
 //!   completed phase is persisted through a [`CheckpointStore`]; a killed
 //!   run resumes from its last phase boundary and finishes with a final
 //!   report *byte-identical* to an uninterrupted run (the partition phase,
 //!   the dominant measurement cost, is never repaid).
-//! * **Budgets** — per-run and per-phase measurement/time caps, enforced
-//!   cooperatively at phase boundaries ([`Budget`]).
-//! * **Cancellation** — a shared [`AtomicBool`] checked between phases.
+//! * **Stops** — a cap on the pair measurements this invocation spends
+//!   ([`EngineOptions::max_measurements`]) and a deterministic stop point
+//!   ([`EngineOptions::stop_after`]), both enforced at phase boundaries.
 //! * **Observability** — an [`Observer`] receives structured
 //!   [`EngineEvent`]s (phase start/end, costs, restored checkpoints, budget
 //!   pressure) for live progress lines and fleet telemetry.
@@ -56,8 +55,6 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,57 +91,20 @@ const PHASE_SALTS: [u64; 6] = [
     0xD1A6_0006_5A11_DA7E, // validation
 ];
 
-/// Measurement/time caps enforced cooperatively at phase boundaries.
-///
-/// Total caps count what the **current invocation** spends — costs
-/// restored from checkpoints are already paid, so re-running an
-/// interrupted command with the same budget always makes fresh progress.
-/// They are checked *before* each phase starts; per-phase caps are checked
-/// right after the phase completes (a phase is never torn down mid-flight
-/// — the completed phase is checkpointed first, so an over-budget phase's
-/// work is not lost). All caps default to unlimited.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Budget {
-    /// Cap on pair measurements spent by this invocation.
-    pub max_measurements: Option<u64>,
-    /// Cap on (simulated or wall-clock) nanoseconds spent by this
-    /// invocation.
-    pub max_elapsed_ns: Option<u64>,
-    /// Cap on pair measurements of any single phase. Like every
-    /// cooperative stop this fires at the boundary *after* the offending
-    /// phase, so an overrun by the final phase (which has no later
-    /// boundary) completes normally.
-    pub max_phase_measurements: Option<u64>,
-    /// Cap on nanoseconds of any single phase (same boundary semantics as
-    /// [`Budget::max_phase_measurements`]).
-    pub max_phase_elapsed_ns: Option<u64>,
-}
-
-impl Budget {
-    /// A budget capping only the total measurement count.
-    #[must_use]
-    pub fn measurements(cap: u64) -> Self {
-        Budget {
-            max_measurements: Some(cap),
-            ..Budget::default()
-        }
-    }
-
-    /// Returns `true` when no cap is set.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        *self == Budget::default()
-    }
-}
-
-/// Knobs of one engine invocation (checkpointing, budget, cancellation).
+/// Knobs of one engine invocation (checkpointing, measurement cap, stop
+/// point, fine events).
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Directory to checkpoint completed phases into (and to resume from
     /// when it already holds checkpoints of the same configuration).
     pub checkpoint: Option<PathBuf>,
-    /// Measurement/time budget, enforced at phase boundaries.
-    pub budget: Budget,
+    /// Cap on the pair measurements spent by this invocation, checked
+    /// before each phase starts. Costs restored from checkpoints are
+    /// already paid and do not count, so re-running an interrupted command
+    /// with the same cap always makes fresh progress. A phase is never torn
+    /// down mid-flight: the phase that crosses the cap completes (and is
+    /// checkpointed), and the run stops before the next one.
+    pub max_measurements: Option<u64>,
     /// Stop (with [`DramDigError::Interrupted`]) at the boundary after
     /// completing this phase — a deterministic kill switch for tests,
     /// benchmarks and CI smoke runs exercising the resume path. Like every
@@ -152,8 +112,6 @@ pub struct EngineOptions {
     /// phase there is no boundary left, so stopping there is simply a
     /// completed run (`Ok`).
     pub stop_after: Option<Phase>,
-    /// Cooperative cancellation flag, checked before every phase.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Emit fine-grained [`EngineEvent::OracleBatch`] events. Off by
     /// default: the oracle's batch log is only attached when this is set,
     /// so a run without fine events takes zero extra measurements and an
@@ -169,10 +127,10 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the budget.
+    /// Caps the pair measurements this invocation spends.
     #[must_use]
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    pub fn with_max_measurements(mut self, cap: u64) -> Self {
+        self.max_measurements = Some(cap);
         self
     }
 
@@ -183,24 +141,11 @@ impl EngineOptions {
         self
     }
 
-    /// Attaches a cancellation flag.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Enables fine-grained [`EngineEvent::OracleBatch`] events.
     #[must_use]
     pub fn with_fine_events(mut self, fine_events: bool) -> Self {
         self.fine_events = fine_events;
         self
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 }
 
@@ -318,29 +263,32 @@ impl Observer for NullObserver {
 
 /// The artifacts accumulated so far, one slot per producing phase.
 /// Later phases read their inputs from here; the engine fills slots either
-/// by running a [`PhaseRunner`] or by replaying a checkpoint.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineState {
+/// by running a phase or by replaying a checkpoint.
+#[derive(Debug, Default)]
+struct PipelineState {
     /// Calibrated conflict threshold (calibration phase).
-    pub threshold_ns: Option<u64>,
+    threshold_ns: Option<u64>,
     /// Coarse bit classification (step 1).
-    pub coarse: Option<CoarseBits>,
+    coarse: Option<CoarseBits>,
     /// Pool size, pile pivots and same-bank difference basis (steps 2a/2b).
-    pub partition: Option<PartitionArtifact>,
+    partition: Option<PartitionArtifact>,
     /// Detected bank functions (step 2c).
-    pub functions: Option<DetectedFunctions>,
+    functions: Option<DetectedFunctions>,
     /// Fine-grained bit classification (step 3).
-    pub fine: Option<FineBits>,
+    fine: Option<FineBits>,
     /// The assembled mapping (derived when the fine artifact lands).
-    pub mapping: Option<AddressMapping>,
+    mapping: Option<AddressMapping>,
     /// Validation tally.
-    pub validation: Option<ValidationReport>,
+    validation: Option<ValidationReport>,
 }
 
-fn state_missing(what: &str) -> DramDigError {
-    DramDigError::Checkpoint {
+/// The artifact in `slot`, or the checkpoint error naming it: a phase's
+/// inputs can be missing only in a corrupt or hand-edited checkpoint
+/// directory.
+fn need<T>(slot: Option<T>, what: &str) -> Result<T, DramDigError> {
+    slot.ok_or_else(|| DramDigError::Checkpoint {
         reason: format!("pipeline state is missing the {what} artifact"),
-    }
+    })
 }
 
 impl PipelineState {
@@ -353,17 +301,14 @@ impl PipelineState {
     /// its inputs (possible only with corrupt or hand-edited checkpoints)
     /// and [`DramDigError::Model`] when the recovered pieces do not form a
     /// bijective mapping.
-    pub fn apply(&mut self, artifact: PhaseArtifact) -> Result<(), DramDigError> {
+    fn apply(&mut self, artifact: PhaseArtifact) -> Result<(), DramDigError> {
         match artifact {
             PhaseArtifact::Calibration(c) => self.threshold_ns = Some(c.threshold_ns),
             PhaseArtifact::Coarse(c) => self.coarse = Some(c),
             PhaseArtifact::Partition(p) => self.partition = Some(p),
             PhaseArtifact::Functions(d) => self.functions = Some(d),
             PhaseArtifact::Fine(f) => {
-                let functions = self
-                    .functions
-                    .as_ref()
-                    .ok_or_else(|| state_missing("detected-functions"))?;
+                let functions = need(self.functions.as_ref(), "detected-functions")?;
                 self.mapping = Some(AddressMapping::new(
                     functions.functions.clone(),
                     f.row_bits.clone(),
@@ -377,261 +322,14 @@ impl PipelineState {
     }
 }
 
-/// Everything a [`PhaseRunner`] may touch while executing its phase.
-pub struct PhaseContext<'a, P: MemoryProbe> {
-    /// The calibrated conflict oracle over the probe (cost accounting and
-    /// the conflict cache live here).
-    pub oracle: &'a mut ConflictOracle<P>,
-    /// The physical page pool the run measures against.
-    pub memory: &'a PhysMemory,
-    /// The machine's domain knowledge.
-    pub knowledge: &'a DomainKnowledge,
-    /// The run configuration.
-    pub config: &'a DramDigConfig,
-    /// The phase-scoped RNG (freshly derived per phase so a resumed run
-    /// replays the identical random choices).
-    pub rng: &'a mut StdRng,
-    /// Artifacts of the phases that already completed.
-    pub state: &'a PipelineState,
-}
-
-/// One phase of the pipeline: consumes earlier artifacts from the
-/// [`PhaseContext`], issues measurements through its oracle, and returns
-/// the typed artifact the engine records (and checkpoints) for the phase.
-///
-/// The engine owns one runner per [`Phase`]; the trait is public so tests,
-/// examples and downstream tools can execute or wrap individual phases.
-///
-/// ```
-/// use dramdig::artifact::PhaseArtifact;
-/// use dramdig::engine::{PhaseContext, PhaseRunner};
-/// use dramdig::fine::ValidationReport;
-/// use dramdig::{DramDigError, Phase};
-/// use mem_probe::MemoryProbe;
-///
-/// /// A stand-in validation phase that measures nothing and agrees with
-/// /// everything.
-/// struct AlwaysAgree;
-///
-/// impl<P: MemoryProbe> PhaseRunner<P> for AlwaysAgree {
-///     fn phase(&self) -> Phase {
-///         Phase::Validation
-///     }
-///     fn run(&self, _ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-///         Ok(PhaseArtifact::Validation(ValidationReport::default()))
-///     }
-/// }
-///
-/// assert_eq!(PhaseRunner::<mem_probe::SimProbe>::phase(&AlwaysAgree), Phase::Validation);
-/// ```
-pub trait PhaseRunner<P: MemoryProbe> {
-    /// Which phase this runner implements.
-    fn phase(&self) -> Phase;
-
-    /// Executes the phase.
-    ///
-    /// # Errors
-    ///
-    /// Any [`DramDigError`] aborts the run; the engine does not checkpoint
-    /// a failed phase.
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError>;
-}
-
 /// Calibration pairs the adaptive calibration of
 /// [`PartitionStrategy::Decompose`] measures between two threshold
 /// estimates (no paper value: the paper calibrates once, at full budget).
 pub(crate) const CALIBRATION_CHUNK: usize = 40;
 
-struct CalibrationRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for CalibrationRunner {
-    fn phase(&self) -> Phase {
-        Phase::Calibration
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let cfg = ctx.config;
-        let calibration = if cfg.strategy == PartitionStrategy::Decompose {
-            LatencyCalibration::calibrate_adaptive(
-                ctx.oracle.probe_mut(),
-                cfg.calibration_samples,
-                CALIBRATION_CHUNK,
-                cfg.rng_seed ^ 0xCA11,
-            )?
-        } else {
-            LatencyCalibration::calibrate(
-                ctx.oracle.probe_mut(),
-                cfg.calibration_samples,
-                cfg.rng_seed ^ 0xCA11,
-            )?
-        };
-        let threshold_ns = calibration.threshold_ns();
-        ctx.oracle.set_calibration(calibration);
-        Ok(PhaseArtifact::Calibration(CalibrationArtifact {
-            threshold_ns,
-        }))
-    }
-}
-
-struct CoarseRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for CoarseRunner {
-    fn phase(&self) -> Phase {
-        Phase::CoarseDetection
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let coarse = coarse::detect(ctx.oracle, ctx.knowledge.address_bits(), ctx.rng)?;
-        Ok(PhaseArtifact::Coarse(coarse))
-    }
-}
-
-struct PartitionRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for PartitionRunner {
-    fn phase(&self) -> Phase {
-        Phase::Partition
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let coarse = ctx
-            .state
-            .coarse
-            .as_ref()
-            .ok_or_else(|| state_missing("coarse"))?;
-        let pool = select::select_addresses(ctx.memory, &coarse.bank_bits, None)?;
-        let num_banks = ctx.knowledge.total_banks()?;
-        let partition = partition::partition_with_strategy(
-            ctx.oracle,
-            &pool.addresses,
-            num_banks,
-            ctx.config.strategy,
-            ctx.rng,
-        )?;
-        // Keep only what Algorithm 3 reads: one pivot per pile and the
-        // same-bank difference basis — the kernel Decompose learned, else
-        // the merged basis of the exhaustive piles.
-        Ok(PhaseArtifact::Partition(PartitionArtifact {
-            pool_size: pool.len(),
-            pivots: partition.piles.iter().map(|pile| pile.pivot).collect(),
-            basis: partition
-                .kernel
-                .unwrap_or_else(|| functions::merged_difference_basis(&partition.piles)),
-        }))
-    }
-}
-
-struct FunctionRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for FunctionRunner {
-    fn phase(&self) -> Phase {
-        Phase::FunctionDetection
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let coarse = ctx
-            .state
-            .coarse
-            .as_ref()
-            .ok_or_else(|| state_missing("coarse"))?;
-        let partition = ctx
-            .state
-            .partition
-            .as_ref()
-            .ok_or_else(|| state_missing("partition"))?;
-        let detected = functions::detect_bank_functions_with_basis(
-            &partition.basis,
-            &partition.pivots,
-            &coarse.bank_bits,
-            ctx.knowledge.total_banks()?,
-        )?;
-        Ok(PhaseArtifact::Functions(detected))
-    }
-}
-
-struct FineRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for FineRunner {
-    fn phase(&self) -> Phase {
-        Phase::FineDetection
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let coarse = ctx
-            .state
-            .coarse
-            .as_ref()
-            .ok_or_else(|| state_missing("coarse"))?;
-        let functions = ctx
-            .state
-            .functions
-            .as_ref()
-            .ok_or_else(|| state_missing("detected-functions"))?;
-        let fine = fine::refine(
-            ctx.oracle,
-            ctx.memory,
-            coarse,
-            &functions.functions,
-            ctx.knowledge,
-            ctx.rng,
-        )?;
-        Ok(PhaseArtifact::Fine(fine))
-    }
-}
-
-struct ValidationRunner;
-
-impl<P: MemoryProbe> PhaseRunner<P> for ValidationRunner {
-    fn phase(&self) -> Phase {
-        Phase::Validation
-    }
-
-    fn run(&self, ctx: &mut PhaseContext<'_, P>) -> Result<PhaseArtifact, DramDigError> {
-        let fine = ctx
-            .state
-            .fine
-            .as_ref()
-            .ok_or_else(|| state_missing("fine"))?;
-        let functions = ctx
-            .state
-            .functions
-            .as_ref()
-            .ok_or_else(|| state_missing("detected-functions"))?;
-        let mapping = ctx
-            .state
-            .mapping
-            .as_ref()
-            .ok_or_else(|| state_missing("mapping"))?;
-        let report = fine::validate(
-            ctx.oracle,
-            ctx.memory,
-            fine,
-            &functions.functions,
-            mapping,
-            ctx.config,
-            ctx.rng,
-        )?;
-        Ok(PhaseArtifact::Validation(report))
-    }
-}
-
-fn run_phase<P: MemoryProbe>(
-    phase: Phase,
-    ctx: &mut PhaseContext<'_, P>,
-) -> Result<PhaseArtifact, DramDigError> {
-    match phase {
-        Phase::Calibration => CalibrationRunner.run(ctx),
-        Phase::CoarseDetection => CoarseRunner.run(ctx),
-        Phase::Partition => PartitionRunner.run(ctx),
-        Phase::FunctionDetection => FunctionRunner.run(ctx),
-        Phase::FineDetection => FineRunner.run(ctx),
-        Phase::Validation => ValidationRunner.run(ctx),
-    }
-}
-
 /// The explicit phase-machine behind [`crate::DramDig`]: same knowledge,
-/// same configuration, plus checkpoints, budgets, cancellation and
-/// progress events (see the [module docs](self) for an example).
+/// same configuration, plus checkpoints, a measurement cap, a stop point
+/// and progress events (see the [module docs](self) for an example).
 #[derive(Debug, Clone)]
 pub struct PipelineEngine {
     knowledge: DomainKnowledge,
@@ -654,6 +352,101 @@ impl PipelineEngine {
         &self.config
     }
 
+    /// Executes one phase: reads the artifacts of earlier phases from
+    /// `state`, measures through `oracle` with the phase's `rng`, and
+    /// returns the artifact the engine records (and checkpoints).
+    fn run_phase<P: MemoryProbe>(
+        &self,
+        phase: Phase,
+        oracle: &mut ConflictOracle<P>,
+        memory: &PhysMemory,
+        rng: &mut StdRng,
+        state: &PipelineState,
+    ) -> Result<PhaseArtifact, DramDigError> {
+        let (knowledge, config) = (&self.knowledge, &self.config);
+        Ok(match phase {
+            Phase::Calibration => {
+                let calibration = if config.strategy == PartitionStrategy::Decompose {
+                    LatencyCalibration::calibrate_adaptive(
+                        oracle.probe_mut(),
+                        config.calibration_samples,
+                        CALIBRATION_CHUNK,
+                        config.rng_seed ^ 0xCA11,
+                    )?
+                } else {
+                    LatencyCalibration::calibrate(
+                        oracle.probe_mut(),
+                        config.calibration_samples,
+                        config.rng_seed ^ 0xCA11,
+                    )?
+                };
+                let threshold_ns = calibration.threshold_ns();
+                oracle.set_calibration(calibration);
+                PhaseArtifact::Calibration(CalibrationArtifact { threshold_ns })
+            }
+            Phase::CoarseDetection => {
+                PhaseArtifact::Coarse(coarse::detect(oracle, knowledge.address_bits(), rng)?)
+            }
+            Phase::Partition => {
+                let coarse = need(state.coarse.as_ref(), "coarse")?;
+                let pool = select::select_addresses(memory, &coarse.bank_bits, None)?;
+                let partition = partition::partition_with_strategy(
+                    oracle,
+                    &pool.addresses,
+                    knowledge.total_banks()?,
+                    config.strategy,
+                    rng,
+                )?;
+                // Keep only what Algorithm 3 reads: one pivot per pile and
+                // the same-bank difference basis — the kernel Decompose
+                // learned, else the merged basis of the exhaustive piles.
+                PhaseArtifact::Partition(PartitionArtifact {
+                    pool_size: pool.len(),
+                    pivots: partition.piles.iter().map(|pile| pile.pivot).collect(),
+                    basis: partition
+                        .kernel
+                        .unwrap_or_else(|| functions::merged_difference_basis(&partition.piles)),
+                })
+            }
+            Phase::FunctionDetection => {
+                let coarse = need(state.coarse.as_ref(), "coarse")?;
+                let partition = need(state.partition.as_ref(), "partition")?;
+                PhaseArtifact::Functions(functions::detect_bank_functions_with_basis(
+                    &partition.basis,
+                    &partition.pivots,
+                    &coarse.bank_bits,
+                    knowledge.total_banks()?,
+                )?)
+            }
+            Phase::FineDetection => {
+                let coarse = need(state.coarse.as_ref(), "coarse")?;
+                let functions = need(state.functions.as_ref(), "detected-functions")?;
+                PhaseArtifact::Fine(fine::refine(
+                    oracle,
+                    memory,
+                    coarse,
+                    &functions.functions,
+                    knowledge,
+                    rng,
+                )?)
+            }
+            Phase::Validation => {
+                let fine = need(state.fine.as_ref(), "fine")?;
+                let functions = need(state.functions.as_ref(), "detected-functions")?;
+                let mapping = need(state.mapping.as_ref(), "mapping")?;
+                PhaseArtifact::Validation(fine::validate(
+                    oracle,
+                    memory,
+                    fine,
+                    &functions.functions,
+                    mapping,
+                    config,
+                    rng,
+                )?)
+            }
+        })
+    }
+
     fn interrupted(observer: &mut dyn Observer, phase: Phase, reason: String) -> DramDigError {
         observer.on_event(&EngineEvent::Interrupted {
             phase,
@@ -674,8 +467,8 @@ impl PipelineEngine {
     /// # Errors
     ///
     /// Everything [`crate::DramDig::run`] can return, plus
-    /// [`DramDigError::Interrupted`] for cooperative stops (budget,
-    /// cancellation, [`EngineOptions::stop_after`]) and
+    /// [`DramDigError::Interrupted`] for cooperative stops
+    /// ([`EngineOptions::max_measurements`], [`EngineOptions::stop_after`]) and
     /// [`DramDigError::Checkpoint`] for unreadable/mismatched checkpoints.
     pub fn run<P: MemoryProbe>(
         &self,
@@ -773,27 +566,14 @@ impl PipelineEngine {
                 cache.record(PhysAddr::new(a), PhysAddr::new(b), verdict);
             }
         }
-        // Budgets cap what *this invocation* spends: costs restored from
-        // checkpoints are already paid, so re-running an interrupted
-        // command with the same budget makes fresh progress every time
-        // instead of re-tripping on the recorded spend.
-        let restored_spent = total_costs(&phase_costs);
+        // The cap counts what *this invocation* spends: costs restored
+        // from checkpoints are already paid, so re-running an interrupted
+        // command with the same cap makes fresh progress every time instead
+        // of re-tripping on the recorded spend.
+        let mut fresh_measurements = 0u64;
 
-        for (index, phase) in Phase::ALL.into_iter().enumerate() {
-            if index < resumed {
-                continue; // restored from a checkpoint above
-            }
-            if options.cancelled() {
-                return Err(Self::interrupted(
-                    observer,
-                    phase,
-                    "cooperative cancellation requested".into(),
-                ));
-            }
-            let spent = total_costs(&phase_costs);
-            let fresh_measurements = spent.measurements - restored_spent.measurements;
-            let fresh_elapsed_ns = spent.elapsed_ns - restored_spent.elapsed_ns;
-            if let Some(cap) = options.budget.max_measurements {
+        for (index, phase) in Phase::ALL.into_iter().enumerate().skip(resumed) {
+            if let Some(cap) = options.max_measurements {
                 if fresh_measurements >= cap {
                     return Err(Self::interrupted(
                         observer,
@@ -802,15 +582,6 @@ impl PipelineEngine {
                             "measurement budget exhausted ({fresh_measurements}/{cap} pair \
                              measurements spent this invocation)",
                         ),
-                    ));
-                }
-            }
-            if let Some(cap) = options.budget.max_elapsed_ns {
-                if fresh_elapsed_ns >= cap {
-                    return Err(Self::interrupted(
-                        observer,
-                        phase,
-                        format!("time budget exhausted ({fresh_elapsed_ns}/{cap} ns spent this invocation)"),
                     ));
                 }
             }
@@ -824,17 +595,7 @@ impl PipelineEngine {
             let mut rng = StdRng::seed_from_u64(self.config.rng_seed ^ salt);
             oracle.probe_mut().begin_phase(salt);
             let before = oracle.stats();
-            let artifact = run_phase(
-                phase,
-                &mut PhaseContext {
-                    oracle: &mut oracle,
-                    memory: &memory,
-                    knowledge: &self.knowledge,
-                    config: &self.config,
-                    rng: &mut rng,
-                    state: &state,
-                },
-            )?;
+            let artifact = self.run_phase(phase, &mut oracle, &memory, &mut rng, &state)?;
             let costs = PhaseCosts::between(before, oracle.stats());
             for record in oracle.take_batch_records() {
                 observer.on_event(&EngineEvent::OracleBatch {
@@ -884,9 +645,8 @@ impl PipelineEngine {
                 checkpointed,
             });
 
-            let spent = total_costs(&phase_costs);
-            let fresh_measurements = spent.measurements - restored_spent.measurements;
-            if let Some(cap) = options.budget.max_measurements {
+            fresh_measurements = fresh_measurements.saturating_add(costs.measurements);
+            if let Some(cap) = options.max_measurements {
                 if fresh_measurements.saturating_mul(5) >= cap.saturating_mul(4) {
                     observer.on_event(&EngineEvent::BudgetPressure {
                         phase,
@@ -896,34 +656,9 @@ impl PipelineEngine {
                 }
             }
             // Boundary stops report "the first phase that will not run";
-            // after the last phase there is none, so a trip there is simply
+            // after the last phase there is none, so a stop there is simply
             // a completed run.
             if let Some(&next) = Phase::ALL.get(index + 1) {
-                if let Some(cap) = options.budget.max_phase_measurements {
-                    if costs.measurements > cap {
-                        return Err(Self::interrupted(
-                            observer,
-                            next,
-                            format!(
-                                "{phase} exceeded its per-phase measurement budget \
-                                 ({}/{cap})",
-                                costs.measurements
-                            ),
-                        ));
-                    }
-                }
-                if let Some(cap) = options.budget.max_phase_elapsed_ns {
-                    if costs.elapsed_ns > cap {
-                        return Err(Self::interrupted(
-                            observer,
-                            next,
-                            format!(
-                                "{phase} exceeded its per-phase time budget ({}/{cap} ns)",
-                                costs.elapsed_ns
-                            ),
-                        ));
-                    }
-                }
                 if options.stop_after == Some(phase) {
                     return Err(Self::interrupted(
                         observer,
@@ -937,9 +672,7 @@ impl PipelineEngine {
         // Fresh validation failures error out (without checkpointing)
         // inside the loop; this covers a restored tally, e.g. from a
         // hand-assembled checkpoint directory.
-        let validation = state
-            .validation
-            .ok_or_else(|| state_missing("validation"))?;
+        let validation = need(state.validation, "validation")?;
         if let Some(error) = agreement_failure(&validation) {
             return Err(error);
         }
@@ -947,10 +680,7 @@ impl PipelineEngine {
         // Consult the declared extra channels: hand each one the recovered
         // linear skeleton, let it hunt for a row remap, and cross-examine
         // any mask it claims before recording it.
-        let mapping = state
-            .mapping
-            .clone()
-            .ok_or_else(|| state_missing("mapping"))?;
+        let mapping = need(state.mapping, "mapping")?;
         let mut row_remap = None;
         let mut observable_costs: Vec<(ObservableKind, ObservableCost)> = Vec::new();
         for channel in extras.iter_mut() {
@@ -977,20 +707,16 @@ impl PipelineEngine {
 
         let total = total_costs(&phase_costs);
         observer.on_event(&EngineEvent::RunCompleted { total });
-        let partition = state.partition.ok_or_else(|| state_missing("partition"))?;
+        let partition = need(state.partition, "partition")?;
         Ok(RunReport {
             mapping,
-            coarse: state.coarse.ok_or_else(|| state_missing("coarse"))?,
+            coarse: need(state.coarse, "coarse")?,
             pool_size: partition.pool_size,
             pile_count: partition.pivots.len(),
-            functions: state
-                .functions
-                .ok_or_else(|| state_missing("detected-functions"))?,
-            fine: state.fine.ok_or_else(|| state_missing("fine"))?,
+            functions: need(state.functions, "detected-functions")?,
+            fine: need(state.fine, "fine")?,
             validation,
-            threshold_ns: state
-                .threshold_ns
-                .ok_or_else(|| state_missing("calibration"))?,
+            threshold_ns: need(state.threshold_ns, "calibration")?,
             phase_costs,
             total,
             row_remap,
@@ -1088,21 +814,16 @@ mod tests {
 
     #[test]
     fn budget_constructors_and_options_builders() {
-        let b = Budget::measurements(100);
-        assert_eq!(b.max_measurements, Some(100));
-        assert!(!b.is_unlimited());
-        assert!(Budget::default().is_unlimited());
-
-        let cancel = Arc::new(AtomicBool::new(false));
         let options = EngineOptions::default()
             .with_checkpoint("/tmp/x")
-            .with_budget(b)
+            .with_max_measurements(100)
             .with_stop_after(Phase::Partition)
-            .with_cancel(Arc::clone(&cancel));
+            .with_fine_events(true);
+        assert_eq!(options.checkpoint, Some(PathBuf::from("/tmp/x")));
+        assert_eq!(options.max_measurements, Some(100));
         assert_eq!(options.stop_after, Some(Phase::Partition));
-        assert!(!options.cancelled());
-        cancel.store(true, Ordering::Relaxed);
-        assert!(options.cancelled());
+        assert!(options.fine_events);
+        assert_eq!(EngineOptions::default().max_measurements, None);
     }
 
     #[test]

@@ -48,11 +48,11 @@ pub enum DramDigError {
         /// Which knowledge group is required.
         group: &'static str,
     },
-    /// The engine stopped cooperatively at a phase boundary (budget
-    /// exhausted, cancellation requested or an explicit stop point) without
-    /// any phase having failed. When a checkpoint directory is configured,
-    /// every completed phase survives and a resumed run continues from the
-    /// boundary with a byte-identical final report.
+    /// The engine stopped cooperatively at a phase boundary (measurement
+    /// cap exhausted or an explicit stop point) without any phase having
+    /// failed. When a checkpoint directory is configured, every completed
+    /// phase survives and a resumed run continues from the boundary with a
+    /// byte-identical final report.
     Interrupted {
         /// The first phase that did *not* run.
         phase: crate::driver::Phase,

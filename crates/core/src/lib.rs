@@ -27,11 +27,11 @@
 //! The end-to-end driver is [`DramDig`]; it produces an
 //! [`dram_model::AddressMapping`] plus a [`RunReport`] with per-phase cost
 //! accounting (used to regenerate Figure 2 of the paper). [`DramDig`] is a
-//! thin wrapper over the [`engine::PipelineEngine`], an explicit state
-//! machine over [`Phase::ALL`] with per-phase checkpoints (resume a killed
-//! run from its last phase boundary with a byte-identical report),
-//! measurement/time budgets, cooperative cancellation and structured
-//! progress events — see the [`engine`] module docs.
+//! thin wrapper over the [`engine::PipelineEngine`], which runs the phases
+//! of [`Phase::ALL`] in order with per-phase checkpoints (resume a killed
+//! run from its last phase boundary with a byte-identical report), a
+//! measurement cap and a stop point checked at phase boundaries, and
+//! structured progress events — see the [`engine`] module docs.
 //!
 //! # Example
 //!
@@ -76,10 +76,7 @@ pub use artifact::{CheckpointStore, PhaseArtifact, PhaseCheckpoint};
 pub use codec::CodecError;
 pub use config::{DramDigConfig, PartitionStrategy};
 pub use driver::{DramDig, Phase, PhaseCosts, RunReport};
-pub use engine::{
-    Budget, EngineEvent, EngineOptions, NullObserver, Observer, PhaseContext, PhaseRunner,
-    PipelineEngine, PipelineState,
-};
+pub use engine::{EngineEvent, EngineOptions, NullObserver, Observer, PipelineEngine};
 pub use error::DramDigError;
 pub use knowledge::DomainKnowledge;
 pub use report::RecoveryReport;

@@ -4,14 +4,12 @@
 //! the already-checkpointed measurements.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use dram_model::{GeneratedMachine, MachineClass, MachineGen, MachineSetting};
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
-use dramdig::engine::{Budget, EngineEvent, EngineOptions, NullObserver, PipelineEngine};
+use dramdig::engine::{EngineEvent, EngineOptions, NullObserver, PipelineEngine};
 use dramdig::{
     CheckpointStore, DomainKnowledge, DramDig, DramDigConfig, DramDigError, PartitionStrategy,
     Phase, PhaseArtifact, PhaseCosts, RecoveryReport, RunReport,
@@ -189,7 +187,7 @@ fn budget_interrupts_at_a_boundary_and_resume_completes() {
             &mut probe,
             &EngineOptions::default()
                 .with_checkpoint(&dir)
-                .with_budget(Budget::measurements(300)),
+                .with_max_measurements(300),
             &mut |event: &EngineEvent| events.push(event.clone()),
         )
         .unwrap_err();
@@ -215,7 +213,7 @@ fn budget_interrupts_at_a_boundary_and_resume_completes() {
             &mut probe,
             &EngineOptions::default()
                 .with_checkpoint(&dir)
-                .with_budget(Budget::measurements(300)),
+                .with_max_measurements(300),
             &mut NullObserver,
         )
         .unwrap();
@@ -264,29 +262,6 @@ fn failing_validation_is_not_checkpointed_and_a_restored_one_still_fails() {
 }
 
 #[test]
-fn per_phase_budget_interrupts_after_the_offending_phase() {
-    let config = DramDigConfig::fast();
-    let engine = engine_for(4, &config);
-    let (mut probe, _) = probe_for(4, 11);
-    let err = engine
-        .run(
-            &mut probe,
-            &EngineOptions::default().with_budget(Budget {
-                max_phase_measurements: Some(10),
-                ..Budget::default()
-            }),
-            &mut NullObserver,
-        )
-        .unwrap_err();
-    // Calibration spends its full sample budget, far over 10 per phase.
-    let DramDigError::Interrupted { phase, reason } = err else {
-        panic!("expected interruption");
-    };
-    assert_eq!(phase, Phase::CoarseDetection);
-    assert!(reason.contains("per-phase"), "{reason}");
-}
-
-#[test]
 fn stop_after_the_last_phase_is_a_completed_run() {
     // Boundary stops name the first phase that will not run. After
     // validation there is none, so stopping there — or exhausting a budget
@@ -309,7 +284,7 @@ fn stop_after_the_last_phase_is_a_completed_run() {
     let (mut probe, _) = probe_for(4, 11);
     let budgeted = engine.run(
         &mut probe,
-        &EngineOptions::default().with_budget(Budget::measurements(spent)),
+        &EngineOptions::default().with_max_measurements(spent),
         &mut NullObserver,
     );
     assert!(budgeted.is_ok(), "{budgeted:?}");
@@ -330,37 +305,6 @@ fn stop_after_the_last_phase_is_a_completed_run() {
             ..
         }
     ));
-}
-
-#[test]
-fn cancellation_stops_before_any_phase() {
-    let config = DramDigConfig::fast();
-    let engine = engine_for(4, &config);
-    let (mut probe, _) = probe_for(4, 11);
-    let cancel = Arc::new(AtomicBool::new(true));
-    let err = engine
-        .run(
-            &mut probe,
-            &EngineOptions::default().with_cancel(Arc::clone(&cancel)),
-            &mut NullObserver,
-        )
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        DramDigError::Interrupted {
-            phase: Phase::Calibration,
-            ..
-        }
-    ));
-    assert_eq!(probe.stats().measurements, 0, "nothing ran");
-    cancel.store(false, Ordering::Relaxed);
-    assert!(engine
-        .run(
-            &mut probe,
-            &EngineOptions::default().with_cancel(cancel),
-            &mut NullObserver
-        )
-        .is_ok());
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! pool), until the engine empties it at the next phase boundary. For
 //! Decompose validation it can also log the latest classifications.
 //!
-//! Every answer equals that of a bounded FIFO of every classification,
-//! which holds the last `capacity` inserts (lookups never reorder): a
-//! memoised pair hits iff fewer than `capacity` inserts followed its own.
-//! Debug builds also drive that FIFO and assert that both answer alike.
+//! Every answer equals that of a bounded FIFO of every classification
+//! since the last [`ConflictCache::forget`], which holds the last
+//! `capacity` inserts (lookups never reorder): a memoised pair hits iff
+//! fewer than `capacity` inserts followed its own. Debug builds also drive
+//! that FIFO and assert that both answer alike.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -109,7 +110,8 @@ impl ConflictCache {
         }
         #[cfg(debug_assertions)]
         debug_assert!(
-            self.twin.record(k, is_conflict, self.capacity),
+            self.twin
+                .record(k, (self.inserts, is_conflict), self.capacity),
             "{k:?} is cached"
         );
     }
@@ -140,6 +142,8 @@ impl ConflictCache {
     /// Forgets every memoised classification.
     pub fn forget(&mut self) {
         self.memo = HashMap::new();
+        #[cfg(debug_assertions)]
+        self.twin.forget();
     }
 
     /// The logged classifications as `((low, high), is_conflict)`, oldest
@@ -170,37 +174,52 @@ impl ConflictCache {
 }
 
 /// The bounded FIFO of every classification that the memo and the log
-/// replace, kept in debug builds as their differential twin.
+/// replace, kept in debug builds as their differential twin. Its order
+/// spans [`ConflictCache::forget`] (the log does too), its lookups do not.
 #[cfg(debug_assertions)]
 mod twin {
     use std::collections::{HashMap, VecDeque};
 
     #[derive(Debug, Clone, Default)]
     pub(super) struct Fifo {
-        map: HashMap<super::Key, bool>,
-        order: VecDeque<super::Key>,
+        /// The latest verdict, with its insert number, of each pair
+        /// recorded since the last `forget` and still in `order`.
+        map: HashMap<super::Key, (u64, bool)>,
+        order: VecDeque<(super::Key, u64)>,
     }
 
     impl Fifo {
         pub(super) fn get(&self, k: super::Key) -> Option<bool> {
-            self.map.get(&k).copied()
+            self.map.get(&k).map(|&(_, verdict)| verdict)
         }
 
-        /// Inserts `k` unless present, evicting beyond `capacity`; returns
-        /// whether it inserted.
-        pub(super) fn record(&mut self, k: super::Key, verdict: bool, capacity: usize) -> bool {
-            let inserted = self.map.insert(k, verdict).is_none();
-            if inserted {
-                self.order.push_back(k);
-                if self.order.len() > capacity {
-                    self.map.remove(&self.order.pop_front().unwrap());
+        /// Inserts `k` as insert number `seq`, evicting beyond `capacity`;
+        /// returns whether `k` was absent.
+        pub(super) fn record(
+            &mut self,
+            k: super::Key,
+            (seq, verdict): (u64, bool),
+            capacity: usize,
+        ) -> bool {
+            let absent = self.map.insert(k, (seq, verdict)).is_none();
+            self.order.push_back((k, seq));
+            if self.order.len() > capacity {
+                let (old, old_seq) = self.order.pop_front().unwrap();
+                // A pair recorded again after `forget` outlives its first
+                // insert.
+                if self.map.get(&old).is_some_and(|&(seq, _)| seq == old_seq) {
+                    self.map.remove(&old);
                 }
             }
-            inserted
+            absent
+        }
+
+        pub(super) fn forget(&mut self) {
+            self.map.clear();
         }
 
         pub(super) fn order(&self) -> impl Iterator<Item = super::Key> + '_ {
-            self.order.iter().copied()
+            self.order.iter().map(|&(k, _)| k)
         }
     }
 }
@@ -290,6 +309,37 @@ mod tests {
         let mut plain = ConflictCache::new(2);
         plain.record(pa(1), pa(2), true);
         assert_eq!(plain.entries().count(), 0, "only a replay cache logs");
+    }
+
+    #[test]
+    fn forget_hides_earlier_classifications_until_recorded_again() {
+        let mut c = ConflictCache::new(8);
+        c.record(pa(1), pa(2), true);
+        c.forget();
+        assert_eq!(c.lookup(pa(1), pa(2)), None);
+        c.record(pa(1), pa(2), false);
+        assert_eq!(c.lookup(pa(2), pa(1)), Some(false));
+    }
+
+    #[test]
+    fn a_pair_recorded_again_after_forget_outlives_its_first_insert() {
+        let (a, b) = ((pa(1), pa(2)), (pa(3), pa(4)));
+        let mut c = ConflictCache::new(2).with_log(true);
+        c.record(a.0, a.1, true);
+        c.forget();
+        c.record(a.0, a.1, true);
+        c.record(b.0, b.1, false);
+        assert_eq!(c.lookup(a.0, a.1), Some(true));
+        // The log keeps the latest `capacity` records across `forget`.
+        let logged: Vec<_> = c.entries().map(|(pair, _)| pair).collect();
+        assert_eq!(logged, [a, b]);
+        let mut wide = ConflictCache::new(3).with_log(true);
+        wide.record(a.0, a.1, true);
+        wide.forget();
+        wide.record(a.0, a.1, true);
+        wide.record(b.0, b.1, false);
+        let logged: Vec<_> = wide.entries().map(|(pair, _)| pair).collect();
+        assert_eq!(logged, [a, a, b]);
     }
 
     #[test]
