@@ -63,7 +63,7 @@ fn bench_coset_reduce(c: &mut Criterion) {
 
 fn bench_rref_keys(c: &mut Criterion) {
     // Canonical dedup keys over the Table-II bank-function sets, the
-    // MappingStore workload.
+    // MemRegistry (mapping store) workload.
     let rows: Vec<Vec<u64>> = (1..=9u8)
         .map(|n| {
             MachineSetting::by_number(n)

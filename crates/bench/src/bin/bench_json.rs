@@ -302,7 +302,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // RREF dedup keys (MappingStore): cold path, recorded without a
+    // RREF dedup keys (MemRegistry): cold path, recorded without a
     // throughput floor — the inputs are a handful of tiny matrices.
     let rref_rows: Vec<Vec<u64>> = (1..=9u8)
         .map(|n| {
@@ -385,8 +385,8 @@ fn main() {
         let options = campaign::CampaignOptions::default().with_workers(workers);
         let start = Instant::now();
         let outcome =
-            campaign::run_campaign(&campaign_spec, &paths, &options, |job, attempt, _| {
-                campaign::run_job_sim(job, attempt)
+            campaign::run_campaign(&campaign_spec, &paths, &options, None, |job, attempt, _| {
+                campaign::run_job_sim(job, attempt, job.profile.config(), None)
             })
             .unwrap_or_else(|e| {
                 eprintln!("campaign benchmark failed at {workers} workers: {e}");

@@ -5,6 +5,8 @@
 //! ```text
 //! cargo run --release -p dramdig-bench --bin table2_mappings
 //! ```
+//!
+//! Exits non-zero when any row reads `NO` or `FAILED`.
 
 use dram_model::MachineSetting;
 use dramdig::DramDigConfig;
@@ -16,11 +18,13 @@ fn main() {
         "{:<6} {:<14} {:<12} {:<10} {:<75} Matches ground truth",
         "No.", "Microarch", "DRAM", "Config", "Recovered mapping"
     );
+    let mut wrong = 0;
     for setting in MachineSetting::all() {
         let result = run_dramdig(&setting, DramDigConfig::default(), 0x7AB1E2);
         match result {
             Ok(report) => {
                 let equivalent = report.mapping.equivalent_to(setting.mapping());
+                wrong += usize::from(!equivalent);
                 println!(
                     "{:<6} {:<14} {:<12} {:<10} {:<75} {}",
                     setting.label(),
@@ -35,11 +39,14 @@ fn main() {
                     if equivalent { "yes" } else { "NO" }
                 );
             }
-            Err(e) => println!(
-                "{:<6} {:<14} FAILED: {e}",
-                setting.label(),
-                setting.microarch.to_string()
-            ),
+            Err(e) => {
+                wrong += 1;
+                println!(
+                    "{:<6} {:<14} FAILED: {e}",
+                    setting.label(),
+                    setting.microarch.to_string()
+                );
+            }
         }
     }
     println!();
@@ -48,4 +55,8 @@ fn main() {
         "truth\" means the recovered functions span the same space and the row/column bits are"
     );
     println!("identical to the mapping the simulated memory controller uses.");
+    if wrong > 0 {
+        eprintln!("table2_mappings: rows not matching ground truth: {wrong}");
+        std::process::exit(1);
+    }
 }

@@ -12,8 +12,8 @@
 //! | Ablation (knowledge groups) | `ablation_knowledge` |
 //!
 //! The binaries print plain-text tables whose rows correspond one-to-one to
-//! the rows/series of the paper, and `EXPERIMENTS.md` records a captured run
-//! next to the paper's numbers.
+//! the rows/series of the paper; the README's "Regenerating the paper's
+//! artifacts" section lists the commands.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

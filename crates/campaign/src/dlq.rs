@@ -61,14 +61,16 @@ pub fn render_dlq(state: &JournalState) -> String {
             "job {} attempts={} reason={}\n",
             letter.job,
             letter.attempts,
-            escape_reason(&letter.reason)
+            escape_line(&letter.reason)
         ));
     }
     out
 }
 
-fn escape_reason(reason: &str) -> String {
-    reason.replace('\\', "\\\\").replace('\n', "\\n")
+/// Escapes `text` onto one line (`\` → `\\`, newline → `\n`), as
+/// `dlq.txt` and `SCOREBOARD.txt` print failure reasons.
+pub(crate) fn escape_line(text: &str) -> String {
+    text.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Writes [`render_dlq`] to `path` via write-then-rename, so a kill mid-write

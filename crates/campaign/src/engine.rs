@@ -20,6 +20,7 @@ use dramdig::{
     CheckpointStore, DomainKnowledge, DramDigConfig, DramDigError, Phase, RecoveryReport,
 };
 use mem_probe::SimProbe;
+use registry::{MemRegistry, Source};
 
 use crate::journal::{
     read_journal, read_journal_counted, read_journal_lines, Journal, JournalRecord, JournalState,
@@ -29,7 +30,6 @@ use crate::pool::{
     drain_pool_ctx, Attempt, Lease, MeteredHooks, PoolConfig, PoolHooks, PoolOutcome,
 };
 use crate::runner::{CampaignError, CampaignPaths, CampaignStatus};
-use crate::store::{MappingStore, Provenance};
 
 /// Runs the pipeline on a simulated machine with phase-granular resume.
 /// `config` is the attempt's configuration (its seed derived from the
@@ -237,7 +237,7 @@ where
 pub(crate) fn reduce(
     paths: &CampaignPaths,
     label: impl Fn(&str) -> String,
-) -> Result<(JournalState, MappingStore), CampaignError> {
+) -> Result<(JournalState, MemRegistry), CampaignError> {
     // Differential check: the shards' own stores, merged, must agree byte
     // for byte with the store rebuilt from the merged journal.
     let mut merged = rebuild_store(
@@ -245,7 +245,7 @@ pub(crate) fn reduce(
         &label,
     );
     for shard in worker_journal_paths(paths)? {
-        merged.merge(rebuild_store(
+        merged.merge(&rebuild_store(
             &JournalState::replay(&read_journal(&shard)?),
             &label,
         ));
@@ -265,16 +265,10 @@ pub(crate) fn reduce(
 
 /// Rebuilds the mapping store from a journal state: every completed job's
 /// mapping, content-addressed, with `label(job_id)` naming its machine.
-pub(crate) fn rebuild_store(state: &JournalState, label: impl Fn(&str) -> String) -> MappingStore {
-    let mut store = MappingStore::new();
+pub(crate) fn rebuild_store(state: &JournalState, label: impl Fn(&str) -> String) -> MemRegistry {
+    let mut store = MemRegistry::new();
     for (job_id, report) in &state.completed {
-        store.insert(
-            &report.mapping,
-            Provenance {
-                machine: label(job_id),
-                job: job_id.clone(),
-            },
-        );
+        store.insert(&report.mapping, Source::new(label(job_id), job_id.as_str()));
     }
     store
 }
@@ -309,7 +303,7 @@ pub(crate) fn status(
             .map(|(job, reason)| (job.clone(), reason.clone()))
             .collect(),
         pending,
-        distinct_mappings: rebuild_store(&state, label).len(),
+        store: rebuild_store(&state, label),
     })
 }
 

@@ -20,20 +20,17 @@
 //!   its last settled job;
 //! * **retry with a dead-letter queue** for jobs whose recovery fails under
 //!   measurement noise (each retry re-seeds the noise stream), and
-//! * a persistent **mapping store** (`store.txt`) that deduplicates
-//!   recovered XOR-function sets across jobs via canonical GF(2) basis
-//!   reduction and answers queries like *which machines share bank function
-//!   `(13, 16)`?*
+//! * a persistent **mapping store** (`store.txt`): a
+//!   [`registry::MemRegistry`] that deduplicates recovered XOR-function
+//!   sets across jobs via canonical GF(2) basis reduction and answers
+//!   queries like *which machines share bank function `(13, 16)`?*
 //!
 //! The store is a pure function of the merged journal, so a killed and
 //! resumed campaign produces byte-identical artifacts to an uninterrupted
 //! one.
 //!
 //! ```no_run
-//! use campaign::{
-//!     run_campaign, run_job_sim_checkpointed, CampaignOptions, CampaignPaths, CampaignSpec,
-//!     Profile,
-//! };
+//! use campaign::{run_campaign, run_job_sim, CampaignOptions, CampaignPaths, CampaignSpec, Profile};
 //!
 //! let spec = CampaignSpec::new((1..=9).collect(), 1, Profile::Optimized);
 //! let paths = CampaignPaths::new("table2-campaign");
@@ -43,7 +40,8 @@
 //!     &CampaignOptions::default()
 //!         .with_workers(4)
 //!         .with_phase_checkpoints(true),
-//!     |job, attempt, checkpoint| run_job_sim_checkpointed(job, attempt, checkpoint),
+//!     None,
+//!     |job, attempt, checkpoint| run_job_sim(job, attempt, job.profile.config(), checkpoint),
 //! )?;
 //! println!(
 //!     "{} jobs done, {} distinct mappings",
@@ -63,7 +61,6 @@ pub mod mapreduce;
 pub mod pool;
 pub mod runner;
 pub mod spec;
-pub mod store;
 
 /// The flat JSONL codec backing the journal. It lives in the dependency-free
 /// `telemetry` crate so the trace exporters share it; re-exported here under
@@ -78,9 +75,7 @@ pub use pool::{
     PoolOutcome, Verdict,
 };
 pub use runner::{
-    campaign_status, fleet_makespan, run_campaign, run_campaign_with_metrics, run_job_sim,
-    run_job_sim_checkpointed, run_job_sim_checkpointed_with, run_job_sim_with, store_from_state,
-    CampaignError, CampaignOptions, CampaignOutcome, CampaignPaths, CampaignStatus, JobOutcome,
+    campaign_status, fleet_makespan, run_campaign, run_job_sim, CampaignError, CampaignOptions,
+    CampaignOutcome, CampaignPaths, CampaignStatus, JobOutcome,
 };
 pub use spec::{parse_machine_number, Ablation, CampaignSpec, JobSpec, Profile};
-pub use store::{MappingStore, Provenance, StoreEntry};

@@ -19,7 +19,7 @@
 //!   job's last `PhaseCheckpoint` via the atomic checkpoint store — so the
 //!   finished report is byte-identical to an unkilled run;
 //! * the reduce side merges the per-worker journals, rebuilds the
-//!   content-addressed [`MappingStore`] and renders a scoreboard, all pure
+//!   content-addressed [`MemRegistry`] store and renders a scoreboard, all pure
 //!   functions of the merged journal state — **byte-identical regardless of
 //!   worker topology, kill points or steal order**.
 //!
@@ -37,13 +37,14 @@ use dram_sim::{PhysMemory, SimMachine};
 use dramdig::codec::{self, CodecError};
 use dramdig::driver::Phase;
 use dramdig::{DomainKnowledge, DramDigConfig, RecoveryReport};
+use registry::MemRegistry;
 
+use crate::dlq::escape_line;
 use crate::engine;
 use crate::journal::JournalState;
 use crate::pool::{Attempt, PoolConfig};
 use crate::runner::{CampaignError, CampaignPaths, CampaignStatus};
 use crate::spec::Profile;
-use crate::store::MappingStore;
 
 /// The description of a generated-machine grid campaign: `scenarios` jobs
 /// sampled from [`MachineGen`] under one grid seed and one configuration
@@ -564,7 +565,7 @@ pub struct MapReduceOutcome {
     /// The merged journal state (covers prior invocations too).
     pub state: JournalState,
     /// The merged mapping store persisted to `store.txt`.
-    pub store: MappingStore,
+    pub store: MemRegistry,
     /// The rendered scoreboard persisted to `SCOREBOARD.txt`.
     pub scoreboard: String,
 }
@@ -643,17 +644,6 @@ fn grid_label(job_id: &str) -> String {
     )
 }
 
-/// Rebuilds the mapping store from a merged grid journal state: every
-/// completed job's mapping, content-addressed, with the generated machine's
-/// class as its provenance label.
-pub fn grid_store_from_state(state: &JournalState) -> MappingStore {
-    engine::rebuild_store(state, grid_label)
-}
-
-fn escape_line(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
 /// Renders the grid scoreboard: a pure function of the spec and the merged
 /// journal state. Worker topology, kill points and steal order never appear,
 /// which is what makes the artifact byte-identical across them — per-job
@@ -661,7 +651,7 @@ fn escape_line(text: &str) -> String {
 pub fn render_grid_scoreboard(
     spec: &GridSpec,
     state: &JournalState,
-    store: &MappingStore,
+    store: &MemRegistry,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

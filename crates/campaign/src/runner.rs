@@ -17,12 +17,12 @@ use dram_model::MachineSetting;
 use dram_sim::{PhysMemory, SimMachine};
 use dramdig::driver::PhaseCosts;
 use dramdig::{DomainKnowledge, DramDigConfig, RecoveryReport};
+use registry::MemRegistry;
 
 use crate::engine;
 use crate::journal::{JournalError, JournalState};
 use crate::pool::{Attempt, PoolConfig};
 use crate::spec::{CampaignSpec, JobSpec};
-use crate::store::MappingStore;
 
 /// Filesystem layout of one campaign: a directory holding the spec, the
 /// journal and the store.
@@ -197,7 +197,7 @@ pub struct CampaignOutcome {
     pub state: JournalState,
     /// The mapping store rebuilt from the full journal and persisted to
     /// [`CampaignPaths::store`].
-    pub store: MappingStore,
+    pub store: MemRegistry,
     /// Aggregate probe cost over every completed job in the journal, merged
     /// without double counting (each job owns its probe and cache).
     pub totals: PhaseCosts,
@@ -241,59 +241,25 @@ pub fn fleet_makespan(durations: &[f64], workers: usize) -> f64 {
     clocks.into_iter().fold(0.0, f64::max)
 }
 
-/// Runs one job on the simulated Table-II machine it names, with the
-/// profile's configuration. Retries perturb both the simulator seed and the
-/// tool seed, so a failure under one noise stream is not replayed verbatim.
+/// Runs one job on the simulated Table-II machine it names, under
+/// `base_config` (callers pass `job.profile.config()` unless they tune
+/// budgets). Retries perturb both the simulator seed and the tool seed, so
+/// a failure under one noise stream is not replayed verbatim.
+///
+/// With `checkpoint` set, the engine checkpoints every completed phase
+/// into that directory, and when it already holds artifacts (a previous
+/// attempt was killed mid-pipeline), the run continues that attempt, with
+/// its recorded configuration and seed, from the last phase boundary
+/// instead of repaying the earlier phases. A genuine pipeline *failure*
+/// (as opposed to an interruption) wipes the directory: the retry must
+/// re-measure under a fresh seed rather than resume artifacts that may
+/// embody the noise that broke the run.
 ///
 /// # Errors
 ///
 /// Returns a human-readable reason string (the journal's failure payload)
 /// when the machine is unknown or any pipeline phase fails.
-pub fn run_job_sim(job: &JobSpec, attempt: u32) -> Result<RecoveryReport, String> {
-    run_job_sim_with(job, attempt, job.profile.config())
-}
-
-/// [`run_job_sim`] with an explicit base configuration (the job's profile is
-/// ignored; tests and benchmarks use this to tune budgets).
-///
-/// # Errors
-///
-/// See [`run_job_sim`].
-pub fn run_job_sim_with(
-    job: &JobSpec,
-    attempt: u32,
-    base_config: DramDigConfig,
-) -> Result<RecoveryReport, String> {
-    run_job_sim_checkpointed_with(job, attempt, base_config, None)
-}
-
-/// [`run_job_sim`] with phase-granular resume: the engine checkpoints every
-/// completed phase into `checkpoint`, and when the directory already holds
-/// artifacts (a previous attempt was killed mid-pipeline), the run continues
-/// that attempt — with its recorded configuration and seed — from the last
-/// phase boundary instead of repaying the earlier phases.
-///
-/// A genuine pipeline *failure* (as opposed to an interruption) wipes the
-/// checkpoint directory: the retry must re-measure under a fresh seed rather
-/// than resume artifacts that may embody the noise that broke the run.
-///
-/// # Errors
-///
-/// See [`run_job_sim`].
-pub fn run_job_sim_checkpointed(
-    job: &JobSpec,
-    attempt: u32,
-    checkpoint: Option<&Path>,
-) -> Result<RecoveryReport, String> {
-    run_job_sim_checkpointed_with(job, attempt, job.profile.config(), checkpoint)
-}
-
-/// [`run_job_sim_checkpointed`] with an explicit base configuration.
-///
-/// # Errors
-///
-/// See [`run_job_sim`].
-pub fn run_job_sim_checkpointed_with(
+pub fn run_job_sim(
     job: &JobSpec,
     attempt: u32,
     base_config: DramDigConfig,
@@ -323,32 +289,21 @@ pub fn run_job_sim_checkpointed_with(
 /// `run_job` receives `(job, attempt, checkpoint_dir)`; the directory is
 /// `Some` when [`CampaignOptions::phase_checkpoints`] is enabled or a prior
 /// invocation journaled a checkpoint path for the job, and runners that
-/// honour it (see [`run_job_sim_checkpointed`]) resume a killed job from its
-/// last completed phase. The directory of a completed or dead-lettered job
-/// is removed.
+/// honour it (see [`run_job_sim`]) resume a killed job from its last
+/// completed phase. The directory of a completed or dead-lettered job is
+/// removed.
+///
+/// When `metrics` is given, the pool is metered through
+/// [`crate::pool::MeteredHooks`] so queue depth and
+/// dequeue/completion/retry/dead-letter counters land in the registry. The
+/// counters are order-independent totals, so the snapshot is deterministic
+/// at any worker count.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] on journal/store IO failures. Job failures are
 /// *not* errors — they are retried and eventually dead-lettered.
 pub fn run_campaign<R>(
-    spec: &CampaignSpec,
-    paths: &CampaignPaths,
-    options: &CampaignOptions,
-    run_job: R,
-) -> Result<CampaignOutcome, CampaignError>
-where
-    R: Fn(&JobSpec, u32, Option<&Path>) -> Result<RecoveryReport, String> + Sync,
-{
-    run_campaign_with_metrics(spec, paths, options, None, run_job)
-}
-
-/// [`run_campaign`] with pool telemetry: when `metrics` is given, the
-/// pool is metered through [`crate::pool::MeteredHooks`] so queue depth and
-/// dequeue/completion/retry/dead-letter counters land in the registry. The
-/// counters are order-independent totals, so the snapshot is deterministic
-/// at any worker count.
-pub fn run_campaign_with_metrics<R>(
     spec: &CampaignSpec,
     paths: &CampaignPaths,
     options: &CampaignOptions,
@@ -412,15 +367,8 @@ fn table_label(spec: &CampaignSpec) -> impl Fn(&str) -> String {
     }
 }
 
-/// Rebuilds the mapping store from a journal state. Job ids found in the
-/// journal are resolved against `spec` for their machine label; ids from
-/// older specs fall back to the id itself.
-pub fn store_from_state(state: &JournalState, spec: &CampaignSpec) -> MappingStore {
-    engine::rebuild_store(state, table_label(spec))
-}
-
 /// A point-in-time summary of campaign progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignStatus {
     /// Jobs the spec expands to.
     pub total_jobs: usize,
@@ -430,8 +378,8 @@ pub struct CampaignStatus {
     pub dead: Vec<(String, String)>,
     /// Jobs still pending, with the attempt they would resume at.
     pub pending: Vec<(String, u32)>,
-    /// Distinct mappings in the rebuilt store.
-    pub distinct_mappings: usize,
+    /// The mapping store rebuilt from the merged journal.
+    pub store: MemRegistry,
 }
 
 /// Summarizes a campaign directory without running anything.
@@ -485,9 +433,13 @@ mod tests {
     fn drains_a_queue_and_builds_the_store() {
         let spec = CampaignSpec::new(vec![4, 7], 1, Profile::Fast);
         let paths = temp_paths("drain");
-        let outcome = run_campaign(&spec, &paths, &CampaignOptions::default(), |job, _, _| {
-            Ok(fake_report(job.machine))
-        })
+        let outcome = run_campaign(
+            &spec,
+            &paths,
+            &CampaignOptions::default(),
+            None,
+            |job, _, _| Ok(fake_report(job.machine)),
+        )
         .unwrap();
         assert_eq!(outcome.completed.len(), 2);
         assert!(outcome.dead.is_empty());
@@ -498,9 +450,13 @@ mod tests {
         assert!(paths.journal().exists());
         assert!(paths.store().exists());
         // Re-running has nothing to do but reports the same state.
-        let again = run_campaign(&spec, &paths, &CampaignOptions::default(), |_, _, _| {
-            panic!("nothing should run on an already-complete campaign")
-        })
+        let again = run_campaign(
+            &spec,
+            &paths,
+            &CampaignOptions::default(),
+            None,
+            |_, _, _| panic!("nothing should run on an already-complete campaign"),
+        )
         .unwrap();
         assert!(again.completed.is_empty());
         assert_eq!(again.state.completed.len(), 2);
@@ -518,6 +474,7 @@ mod tests {
             &spec,
             &paths,
             &CampaignOptions::serial(),
+            None,
             |job, attempt, _| {
                 calls.fetch_add(1, Ordering::SeqCst);
                 if attempt < 3 {
@@ -538,10 +495,16 @@ mod tests {
         spec2.max_retries = 1;
         let paths2 = temp_paths("dead");
         let calls2 = AtomicU32::new(0);
-        let outcome2 = run_campaign(&spec2, &paths2, &CampaignOptions::serial(), |_, _, _| {
-            calls2.fetch_add(1, Ordering::SeqCst);
-            Err("always broken".to_string())
-        })
+        let outcome2 = run_campaign(
+            &spec2,
+            &paths2,
+            &CampaignOptions::serial(),
+            None,
+            |_, _, _| {
+                calls2.fetch_add(1, Ordering::SeqCst);
+                Err("always broken".to_string())
+            },
+        )
         .unwrap();
         assert_eq!(calls2.load(Ordering::SeqCst), 2);
         assert!(outcome2.completed.is_empty());
@@ -563,6 +526,7 @@ mod tests {
             &spec,
             &paths,
             &CampaignOptions::serial().with_max_completions(2),
+            None,
             |job, _, _| Ok(fake_report(job.machine)),
         )
         .unwrap();
@@ -573,9 +537,13 @@ mod tests {
         let status = campaign_status(&spec, &paths).unwrap();
         assert_eq!(status.completed + status.pending.len(), 4);
 
-        let resumed = run_campaign(&spec, &paths, &CampaignOptions::default(), |job, _, _| {
-            Ok(fake_report(job.machine))
-        })
+        let resumed = run_campaign(
+            &spec,
+            &paths,
+            &CampaignOptions::default(),
+            None,
+            |job, _, _| Ok(fake_report(job.machine)),
+        )
         .unwrap();
         assert_eq!(resumed.state.completed.len(), 4);
         assert_eq!(resumed.store.len(), 4);
@@ -599,6 +567,7 @@ mod tests {
             &spec,
             &paths,
             &CampaignOptions::default().with_workers(8),
+            None,
             |job, _, _| Ok(fake_report(job.machine)),
         )
         .unwrap();
@@ -630,9 +599,13 @@ mod tests {
         // and converge on an uninterrupted run's artifacts.
         let spec = CampaignSpec::new(vec![4, 7], 1, Profile::Fast);
         let straight = temp_paths("shard-straight");
-        run_campaign(&spec, &straight, &CampaignOptions::serial(), |job, _, _| {
-            Ok(fake_report(job.machine))
-        })
+        run_campaign(
+            &spec,
+            &straight,
+            &CampaignOptions::serial(),
+            None,
+            |job, _, _| Ok(fake_report(job.machine)),
+        )
         .unwrap();
 
         let paths = temp_paths("shard-resume");
@@ -655,10 +628,16 @@ mod tests {
             .unwrap();
         drop(shard);
 
-        let outcome = run_campaign(&spec, &paths, &CampaignOptions::serial(), |job, _, _| {
-            assert_ne!(job.id(), settled.id(), "a job settled in a shard re-ran");
-            Ok(fake_report(job.machine))
-        })
+        let outcome = run_campaign(
+            &spec,
+            &paths,
+            &CampaignOptions::serial(),
+            None,
+            |job, _, _| {
+                assert_ne!(job.id(), settled.id(), "a job settled in a shard re-ran");
+                Ok(fake_report(job.machine))
+            },
+        )
         .unwrap();
         assert_eq!(outcome.completed.len(), 1);
         let leftover = std::fs::read_dir(paths.dir())
@@ -699,7 +678,7 @@ mod tests {
             profile: Profile::Fast,
             ablation: None,
         };
-        let report = run_job_sim(&job, 1).unwrap();
+        let report = run_job_sim(&job, 1, job.profile.config(), None).unwrap();
         let setting = MachineSetting::by_number(4).unwrap();
         assert!(report.mapping.equivalent_to(setting.mapping()));
         // Unknown machines and ablated system info fail with a reason.
@@ -707,13 +686,13 @@ mod tests {
             machine: 42,
             ..job.clone()
         };
-        assert!(run_job_sim(&bad, 1)
+        assert!(run_job_sim(&bad, 1, bad.profile.config(), None)
             .unwrap_err()
             .contains("unknown machine"));
         let ablated = JobSpec {
             ablation: Some(Ablation::SystemInfo),
             ..job
         };
-        assert!(run_job_sim(&ablated, 1).is_err());
+        assert!(run_job_sim(&ablated, 1, ablated.profile.config(), None).is_err());
     }
 }

@@ -5,10 +5,11 @@
 
 use proptest::prelude::*;
 
-use campaign::{JournalRecord, JournalState, MappingStore, Provenance};
+use campaign::{JournalRecord, JournalState};
 use dram_model::{gf2::Gf2Matrix, AddressMapping, MachineSetting, XorFunc};
 use dramdig::driver::{Phase, PhaseCosts};
 use dramdig::RecoveryReport;
+use registry::{MemRegistry, Source};
 
 fn report_for(machine: u8) -> RecoveryReport {
     let setting = MachineSetting::by_number(machine).expect("1..=9");
@@ -215,27 +216,24 @@ proptest! {
             )
             .expect("basis change keeps the mapping valid")
         };
-        let inserts: Vec<(AddressMapping, Provenance)> = jobs
+        let inserts: Vec<(AddressMapping, Source)> = jobs
             .iter()
             .enumerate()
             .map(|(i, (machine, v))| {
                 (
                     variant(*machine, *v),
-                    Provenance {
-                        machine: format!("No.{machine}"),
-                        job: format!("m{machine}-s{i}-fast"),
-                    },
+                    Source::new(format!("No.{machine}"), format!("m{machine}-s{i}-fast")),
                 )
             })
             .collect();
 
-        let mut forward = MappingStore::new();
+        let mut forward = MemRegistry::new();
         for (mapping, source) in &inserts {
             forward.insert(mapping, source.clone());
         }
         // A permutation of the insertion order driven by `order`.
-        let mut rest: Vec<&(AddressMapping, Provenance)> = inserts.iter().collect();
-        let mut permuted = MappingStore::new();
+        let mut rest: Vec<&(AddressMapping, Source)> = inserts.iter().collect();
+        let mut permuted = MemRegistry::new();
         let mut picks = order.iter().copied().cycle();
         while !rest.is_empty() {
             let pick = picks.next().unwrap_or(0) % rest.len();
@@ -258,6 +256,6 @@ proptest! {
             );
         }
         // Decoding the encoded store reproduces it exactly.
-        prop_assert_eq!(&MappingStore::decode(&forward.encode()).unwrap(), &forward);
+        prop_assert_eq!(&MemRegistry::decode(&forward.encode()).unwrap(), &forward);
     }
 }

@@ -4,8 +4,8 @@
 //! uninterrupted run.
 
 use campaign::{
-    campaign_status, run_campaign, run_job_sim_checkpointed_with, run_job_sim_with,
-    CampaignOptions, CampaignPaths, CampaignSpec, JobSpec, Profile,
+    campaign_status, run_campaign, run_job_sim, CampaignOptions, CampaignPaths, CampaignSpec,
+    JobSpec, Profile,
 };
 use dram_model::{MachineSetting, XorFunc};
 use dram_sim::{PhysMemory, SimConfig, SimMachine};
@@ -21,7 +21,12 @@ fn test_runner(
     attempt: u32,
     _checkpoint: Option<&std::path::Path>,
 ) -> Result<RecoveryReport, String> {
-    run_job_sim_with(job, attempt, DramDigConfig::optimized().with_fast_budgets())
+    run_job_sim(
+        job,
+        attempt,
+        DramDigConfig::optimized().with_fast_budgets(),
+        None,
+    )
 }
 
 fn temp_paths(tag: &str) -> CampaignPaths {
@@ -42,6 +47,7 @@ fn interrupted_and_resumed_campaign_matches_an_uninterrupted_one() {
         &CampaignOptions::default()
             .with_workers(2)
             .with_max_completions(4),
+        None,
         test_runner,
     )
     .unwrap();
@@ -62,6 +68,7 @@ fn interrupted_and_resumed_campaign_matches_an_uninterrupted_one() {
         &spec,
         &interrupted,
         &CampaignOptions::default().with_workers(4),
+        None,
         test_runner,
     )
     .unwrap();
@@ -76,8 +83,14 @@ fn interrupted_and_resumed_campaign_matches_an_uninterrupted_one() {
 
     // --- Uninterrupted reference run. -------------------------------------
     let straight = temp_paths("straight");
-    let reference =
-        run_campaign(&spec, &straight, &CampaignOptions::serial(), test_runner).unwrap();
+    let reference = run_campaign(
+        &spec,
+        &straight,
+        &CampaignOptions::serial(),
+        None,
+        test_runner,
+    )
+    .unwrap();
     assert_eq!(reference.state.completed.len(), 9);
 
     // --- Same nine mappings, same artifacts. ------------------------------
@@ -174,13 +187,14 @@ fn mid_pipeline_kill_resumes_at_the_phase_boundary_with_identical_report() {
                 .unwrap_err();
             Err(err.to_string())
         } else {
-            run_job_sim_checkpointed_with(job, attempt, config.clone(), checkpoint)
+            run_job_sim(job, attempt, config.clone(), checkpoint)
         }
     };
     let outcome = run_campaign(
         &spec,
         &paths,
         &CampaignOptions::serial().with_phase_checkpoints(true),
+        None,
         kill_first,
     )
     .unwrap();
@@ -193,7 +207,7 @@ fn mid_pipeline_kill_resumes_at_the_phase_boundary_with_identical_report() {
 
     // Reference: the same job, same attempt-1 seed, never interrupted.
     let job = spec.jobs().remove(0);
-    let straight = run_job_sim_with(&job, 1, config.clone()).unwrap();
+    let straight = run_job_sim(&job, 1, config.clone(), None).unwrap();
     assert_eq!(
         resumed_report.encode(),
         straight.encode(),
@@ -232,9 +246,8 @@ fn real_failures_wipe_checkpoints_so_retries_reseed() {
         &spec,
         &paths,
         &CampaignOptions::serial().with_phase_checkpoints(true),
-        |job, attempt, checkpoint| {
-            run_job_sim_checkpointed_with(job, attempt, DramDigConfig::fast(), checkpoint)
-        },
+        None,
+        |job, attempt, checkpoint| run_job_sim(job, attempt, DramDigConfig::fast(), checkpoint),
     )
     .unwrap();
     assert_eq!(outcome.dead.len(), 1);
@@ -254,7 +267,8 @@ fn ablated_jobs_dead_letter_through_the_sim_runner() {
     };
     spec.max_retries = 1;
     let paths = temp_paths("ablate");
-    let outcome = run_campaign(&spec, &paths, &CampaignOptions::serial(), test_runner).unwrap();
+    let outcome =
+        run_campaign(&spec, &paths, &CampaignOptions::serial(), None, test_runner).unwrap();
     assert_eq!(outcome.completed.len(), 1);
     assert_eq!(
         outcome.dead.len(),
@@ -268,7 +282,7 @@ fn ablated_jobs_dead_letter_through_the_sim_runner() {
     assert_eq!(outcome.store.len(), 1);
     let status = campaign_status(&spec, &paths).unwrap();
     assert_eq!(status.dead.len(), 1);
-    assert_eq!(status.distinct_mappings, 1);
+    assert_eq!(status.store.len(), 1);
     std::fs::remove_dir_all(paths.dir()).unwrap();
 }
 
@@ -289,7 +303,9 @@ fn decompose_pairs_asked_again_are_cache_hits() {
             profile: Profile::Optimized,
             ablation: None,
         };
-        let report = campaign::run_job_sim(&job, 1).unwrap().encode();
+        let report = run_job_sim(&job, 1, job.profile.config(), None)
+            .unwrap()
+            .encode();
         assert!(
             report.contains(&format!("\n{partition}\n")),
             "{job}: {report}"

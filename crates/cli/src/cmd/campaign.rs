@@ -5,11 +5,12 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use campaign::{
-    campaign_status, run_campaign_with_metrics, CampaignOptions, CampaignOutcome, CampaignPaths,
-    CampaignSpec, MappingStore, Profile,
+    campaign_status, run_campaign, CampaignOptions, CampaignOutcome, CampaignPaths, CampaignSpec,
+    CampaignStatus, Profile,
 };
 
-use campaign::mapreduce::{grid_history_line, GridSpec};
+use campaign::mapreduce::{grid_history_line, grid_status, GridSpec};
+use registry::MemRegistry;
 
 use crate::flags::{parse_flags, parse_u64};
 use crate::{machines_sharing, one_bank_function, record_history, write_trace_files, CliError};
@@ -416,7 +417,7 @@ fn persist_spec<S: PartialEq>(
 }
 
 /// The report line naming a campaign's mapping store.
-fn store_line(store: &MappingStore, paths: &CampaignPaths) -> String {
+fn store_line(store: &MemRegistry, paths: &CampaignPaths) -> String {
     format!(
         "store: {} distinct mappings ({})\n",
         store.len(),
@@ -443,12 +444,14 @@ fn drive_campaign(
         options = options.with_max_completions(limit);
     }
     let mut pool_metrics = telemetry::Registry::new();
-    let outcome = run_campaign_with_metrics(
+    let outcome = run_campaign(
         spec,
         &paths,
         &options,
         metrics.is_some().then_some(&mut pool_metrics),
-        campaign::run_job_sim_checkpointed,
+        |job, attempt, checkpoint| {
+            campaign::run_job_sim(job, attempt, job.profile.config(), checkpoint)
+        },
     )
     .map_err(CliError::tool)?;
     if trace.is_some() || metrics.is_some() {
@@ -533,15 +536,7 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
             drive_campaign(dir, &spec, *workers, *limit, None, None)
         }
         CampaignAction::Status { dir } => {
-            let paths = CampaignPaths::new(dir);
-            // A mapreduce grid directory holds `grid.spec` instead of
-            // `campaign.spec`; both summarize into the same status.
-            let status = if paths.grid_spec().exists() {
-                campaign::mapreduce::grid_status(&read_grid_spec(&paths)?, &paths)
-            } else {
-                campaign_status(&read_campaign_spec(&paths)?, &paths)
-            }
-            .map_err(CliError::tool)?;
+            let status = directory_status(&CampaignPaths::new(dir))?;
             let mut out = String::new();
             writeln!(
                 out,
@@ -550,7 +545,7 @@ pub(crate) fn execute(action: &CampaignAction) -> Result<String, CliError> {
                 status.total_jobs,
                 status.dead.len(),
                 status.pending.len(),
-                status.distinct_mappings,
+                status.store.len(),
             )
             .expect("write to string");
             for (job, attempt) in &status.pending {
@@ -772,30 +767,30 @@ fn execute_dlq(dir: &str, op: DlqOp, job: Option<&str>) -> Result<String, CliErr
     Ok(out)
 }
 
+/// Summarizes a campaign directory from its merged journal. A mapreduce
+/// grid directory holds `grid.spec` instead of `campaign.spec`; this is the
+/// one place that tells the two apart.
+fn directory_status(paths: &CampaignPaths) -> Result<CampaignStatus, CliError> {
+    if paths.grid_spec().exists() {
+        grid_status(&read_grid_spec(paths)?, paths)
+    } else {
+        campaign_status(&read_campaign_spec(paths)?, paths)
+    }
+    .map_err(CliError::tool)
+}
+
 /// Rebuilds a campaign's mapping store from its merged journal — the
 /// durable record of truth, exactly what `campaign status` counts — so a
 /// kill between a journaled completion and the store rewrite never makes
-/// the commands disagree. Only when the journal cannot be replayed does a
-/// persisted `store.txt` answer instead.
-pub(crate) fn load_campaign_store(paths: &CampaignPaths) -> Result<MappingStore, CliError> {
-    let rebuilt = campaign::read_merged_journal(paths)
-        .map_err(CliError::tool)
-        .and_then(|records| {
-            let state = campaign::JournalState::replay(&records);
-            if paths.grid_spec().exists() {
-                Ok(campaign::mapreduce::grid_store_from_state(&state))
-            } else {
-                Ok(campaign::store_from_state(
-                    &state,
-                    &read_campaign_spec(paths)?,
-                ))
-            }
-        });
-    match rebuilt {
-        Ok(store) => Ok(store),
-        Err(journal_error) => std::fs::read_to_string(paths.store())
-            .ok()
-            .and_then(|text| MappingStore::decode(&text).ok())
-            .ok_or(journal_error),
-    }
+/// the commands disagree. Only when the spec or the journal cannot be read
+/// does a persisted `store.txt` answer instead.
+pub(crate) fn load_campaign_store(paths: &CampaignPaths) -> Result<MemRegistry, CliError> {
+    directory_status(paths)
+        .map(|status| status.store)
+        .or_else(|error| {
+            std::fs::read_to_string(paths.store())
+                .ok()
+                .and_then(|text| MemRegistry::decode(&text).ok())
+                .ok_or(error)
+        })
 }

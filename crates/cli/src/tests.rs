@@ -1,5 +1,5 @@
 use super::*;
-use campaign::{CampaignSpec, MappingStore, Profile};
+use campaign::{CampaignSpec, Profile};
 use dramdig_bench::eval::GridKind;
 use mem_probe::ObservableKind;
 
@@ -1480,7 +1480,8 @@ fn campaign_status_reads_a_mapreduce_grid_directory() {
     // `campaign query` rebuilds the grid's store from its merged
     // journal, so a corrupt or missing store.txt answers the same.
     let store_path = dir.join("store.txt");
-    let store = MappingStore::decode(&std::fs::read_to_string(&store_path).unwrap()).unwrap();
+    let store =
+        registry::MemRegistry::decode(&std::fs::read_to_string(&store_path).unwrap()).unwrap();
     let func = store.entries().next().unwrap().mapping.bank_funcs()[0].to_string();
     let query = || {
         execute(&Command::Campaign(CampaignAction::Query {

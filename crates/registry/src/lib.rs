@@ -1,10 +1,11 @@
 //! # Sharded content-addressed mapping registry
 //!
-//! The campaign layer's `MappingStore` answers fleet-level questions —
-//! *which machines share bank function `(13, 16)`?* — but it is a flat
-//! in-memory set rebuilt from one journal, and every query is a linear
-//! scan. This crate promotes it into a standalone registry subsystem built
-//! for many campaigns and many concurrent readers:
+//! The registry answers fleet-level questions (*which machines share bank
+//! function `(13, 16)`?*) over every mapping a campaign or an import has
+//! recovered. Its in-memory core, [`MemRegistry`], is also a campaign's
+//! mapping store: the reduce step rebuilds it from the merged journal and
+//! writes it as `store.txt` ([`store`]). Around that core it serves many
+//! campaigns and many concurrent readers:
 //!
 //! * **Content-addressed keys** ([`mem`]): a mapping's identity is its
 //!   unique reduced row-echelon bank-function basis plus its row/column
@@ -28,6 +29,9 @@
 //!   immutable [`Snapshot`] behind an `Arc`. Readers clone the `Arc` once
 //!   and evaluate every query without taking the writer lock; writers
 //!   build the next snapshot on the side and swap it in.
+//! * **Text codecs** ([`segment`], [`store`]): segment files and
+//!   `store.txt` share one section reader, and both refuse unknown keys and
+//!   incomplete sections.
 //! * **A line-oriented query protocol** ([`query`]) with byte-deterministic
 //!   responses, serving `sharing` / `lookup` / `nearest` / `stats` for the
 //!   `dramdig serve` front end.
@@ -45,6 +49,7 @@ pub mod query;
 pub mod segment;
 pub mod shared;
 pub mod source;
+pub mod store;
 
 pub use disk::{AppendReport, DiskRegistry, DiskStats, Manifest, SegmentMeta};
 pub use mem::{CanonicalKey, Entry, MemRegistry, NearestHit, QueryCost};

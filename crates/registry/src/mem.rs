@@ -727,6 +727,8 @@ mod tests {
         assert!(!registry.insert(&variant, source(4, "m4-s2-optimized")));
         assert_eq!(registry.canonicalizations(), 2);
         assert_eq!(registry.len(), 1);
+        // The ten replays of one source were idempotent: two sources.
+        assert_eq!(registry.entries().next().unwrap().sources.len(), 2);
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub fn encode_segment(records: &[Record]) -> String {
     out
 }
 
+/// The keys of a `[record]` section, in [`decode_segment`]'s slot order.
+const RECORD_KEYS: [&str; 5] = ["fingerprint", "funcs", "rows", "cols", "source"];
+
 /// Parses a segment file body written by [`encode_segment`], verifying the
 /// stored fingerprint of every record against the mapping it claims to
 /// name.
@@ -69,68 +72,68 @@ pub fn encode_segment(records: &[Record]) -> String {
 /// fingerprint that does not match its mapping.
 pub fn decode_segment(text: &str) -> Result<Vec<Record>, RegistryError> {
     let mut records = Vec::new();
-    let mut fingerprint: Option<String> = None;
-    let mut funcs: Option<String> = None;
-    let mut rows: Option<String> = None;
-    let mut cols: Option<String> = None;
-    let mut source: Option<String> = None;
-
-    let flush = |fingerprint: &mut Option<String>,
-                 funcs: &mut Option<String>,
-                 rows: &mut Option<String>,
-                 cols: &mut Option<String>,
-                 source: &mut Option<String>|
-     -> Result<Option<Record>, RegistryError> {
-        let started = fingerprint.is_some()
-            || funcs.is_some()
-            || rows.is_some()
-            || cols.is_some()
-            || source.is_some();
-        if !started {
-            return Ok(None);
+    let mut values: [Option<&str>; 5] = [None; 5];
+    read_sections(text, "[record]", "segment", &RECORD_KEYS, |step| {
+        match step {
+            Step::Pair(key, value) => values[key] = Some(value),
+            Step::Close if values.iter().all(Option::is_none) => {}
+            Step::Close => {
+                let [Some(fp), Some(f), Some(r), Some(c), Some(s)] = std::mem::take(&mut values)
+                else {
+                    return Err(RegistryError::corrupt("incomplete [record] section"));
+                };
+                let fp = u64::from_str_radix(fp, 16)
+                    .map_err(|e| RegistryError::corrupt(format!("bad fingerprint `{fp}`: {e}")))?;
+                let mapping = parse::parse_mapping(f, r, c)
+                    .map_err(|e| RegistryError::corrupt(format!("invalid stored mapping: {e}")))?;
+                let expected = mapping_fingerprint(&mapping);
+                if expected != fp {
+                    return Err(RegistryError::corrupt(format!(
+                        "fingerprint {fp:016x} does not match its mapping (expected {expected:016x})"
+                    )));
+                }
+                records.push(Record {
+                    fingerprint: fp,
+                    mapping: canonicalize(&mapping),
+                    source: Source::parse(s).map_err(RegistryError::corrupt)?,
+                });
+            }
         }
-        let (Some(fp), Some(f), Some(r), Some(c), Some(s)) = (
-            fingerprint.take(),
-            funcs.take(),
-            rows.take(),
-            cols.take(),
-            source.take(),
-        ) else {
-            return Err(RegistryError::corrupt("incomplete [record] section"));
-        };
-        let fp = u64::from_str_radix(&fp, 16)
-            .map_err(|e| RegistryError::corrupt(format!("bad fingerprint `{fp}`: {e}")))?;
-        let mapping = parse::parse_mapping(&f, &r, &c)
-            .map_err(|e| RegistryError::corrupt(format!("invalid stored mapping: {e}")))?;
-        let expected = mapping_fingerprint(&mapping);
-        if expected != fp {
-            return Err(RegistryError::corrupt(format!(
-                "fingerprint {fp:016x} does not match its mapping (expected {expected:016x})"
-            )));
-        }
-        let source = Source::parse(&s).map_err(RegistryError::corrupt)?;
-        Ok(Some(Record {
-            fingerprint: fp,
-            mapping: canonicalize(&mapping),
-            source,
-        }))
-    };
+        Ok(())
+    })?;
+    Ok(records)
+}
 
+/// One step of [`read_sections`].
+pub(crate) enum Step<'t> {
+    /// A `key = value` line: the key's index in the decoder's key list,
+    /// and the trimmed value.
+    Pair(usize, &'t str),
+    /// The section read so far ends, at the next header or at the end of
+    /// the text.
+    Close,
+}
+
+/// The line loop of the registry's text codecs (segments and
+/// `store.txt`). Skips blank and `#` lines, reports each `header` line as
+/// the [`Step::Close`] of the section before it and the end of the text as
+/// the last one, reports `key = value` lines whose key is in `keys`, and
+/// refuses any other line. Values borrow from `text`: reading allocates
+/// nothing per line.
+pub(crate) fn read_sections<'t>(
+    text: &'t str,
+    header: &str,
+    kind: &str,
+    keys: &[&str],
+    mut step: impl FnMut(Step<'t>) -> Result<(), RegistryError>,
+) -> Result<(), RegistryError> {
     for raw in text.lines() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == "[record]" {
-            if let Some(record) = flush(
-                &mut fingerprint,
-                &mut funcs,
-                &mut rows,
-                &mut cols,
-                &mut source,
-            )? {
-                records.push(record);
-            }
+        if line == header {
+            step(Step::Close)?;
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -138,30 +141,15 @@ pub fn decode_segment(text: &str) -> Result<Vec<Record>, RegistryError> {
                 "expected `key = value`, got `{line}`"
             )));
         };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "fingerprint" => fingerprint = Some(value.to_string()),
-            "funcs" => funcs = Some(value.to_string()),
-            "rows" => rows = Some(value.to_string()),
-            "cols" => cols = Some(value.to_string()),
-            "source" => source = Some(value.to_string()),
-            other => {
-                return Err(RegistryError::corrupt(format!(
-                    "unknown segment key `{other}`"
-                )))
-            }
-        }
+        let key = key.trim();
+        let Some(index) = keys.iter().position(|k| *k == key) else {
+            return Err(RegistryError::corrupt(format!(
+                "unknown {kind} key `{key}`"
+            )));
+        };
+        step(Step::Pair(index, value.trim()))?;
     }
-    if let Some(record) = flush(
-        &mut fingerprint,
-        &mut funcs,
-        &mut rows,
-        &mut cols,
-        &mut source,
-    )? {
-        records.push(record);
-    }
-    Ok(records)
+    step(Step::Close)
 }
 
 /// Deduplicates records that name the same `(fingerprint, source)` pair,
@@ -224,9 +212,35 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_segments() {
-        assert!(decode_segment("[record]\nfuncs = (13, 16)\n").is_err());
-        assert!(decode_segment("garbage\n").is_err());
-        assert!(decode_segment("wat = 1\n").is_err());
+        let mapping = "funcs = (13, 16), (14, 17), (15, 18)\nrows = 16~31\n";
+        for (text, message) in [
+            (
+                "[record]\nfuncs = (13, 16)\n",
+                "incomplete [record] section",
+            ),
+            ("garbage\n", "expected `key = value`, got `garbage`"),
+            ("wat = 1\n", "unknown segment key `wat`"),
+            (
+                &format!("[record]\nfingerprint = zz\n{mapping}cols = 0~12\nsource = a:b\n"),
+                "bad fingerprint `zz`: invalid digit found in string",
+            ),
+            (
+                &format!("[record]\nfingerprint = 00\n{mapping}cols = 0~40\nsource = a:b\n"),
+                "invalid stored mapping: parsed mapping is inconsistent: \
+                 address mapping is not a bijection: row bits and column bits overlap",
+            ),
+            (
+                &format!(
+                    "[record]\nfingerprint = b597af8fc5743333\n{mapping}cols = 0~12\nsource = a\n"
+                ),
+                "source `a` is not `machine:job`",
+            ),
+        ] {
+            match decode_segment(text) {
+                Err(RegistryError::Corrupt(got)) => assert_eq!(got, message, "{text:?}"),
+                other => panic!("{text:?}: expected a corrupt-segment refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

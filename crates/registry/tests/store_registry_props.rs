@@ -1,15 +1,15 @@
-//! Property: exporting a campaign's mapping store into the sharded on-disk
-//! registry and loading it back reproduces the store exactly — the import
-//! path (`dramdig registry import`) loses nothing and invents nothing, for
-//! any mix of machines, basis presentations and shard counts.
+//! Property: exporting a campaign's mapping store (`store.txt`'s
+//! [`MemRegistry`]) into the sharded on-disk registry and loading it back
+//! reproduces the store exactly — the import path (`dramdig registry
+//! import`) loses nothing and invents nothing, for any mix of machines,
+//! basis presentations and shard counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use campaign::{MappingStore, Provenance};
 use dram_model::{AddressMapping, MachineSetting, XorFunc};
-use registry::DiskRegistry;
+use registry::{DiskRegistry, MemRegistry, Source};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -40,20 +40,17 @@ proptest! {
         jobs in proptest::collection::vec((1u8..=9, 0u8..4), 1..10),
         shards in 1u32..8,
     ) {
-        let mut store = MappingStore::new();
+        let mut store = MemRegistry::new();
         for (i, (machine, v)) in jobs.iter().enumerate() {
             store.insert(
                 &variant_mapping(*machine, *v),
-                Provenance {
-                    machine: format!("No.{machine}"),
-                    job: format!("m{machine}-s{i}-fast"),
-                },
+                Source::new(format!("No.{machine}"), format!("m{machine}-s{i}-fast")),
             );
         }
 
         // Export → sharded disk registry → reopen → load.
         let dir = std::env::temp_dir().join(format!(
-            "dramdig-campaign-import-props-{}-{}",
+            "dramdig-registry-import-props-{}-{}",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed),
         ));
@@ -63,16 +60,9 @@ proptest! {
         let mem = DiskRegistry::open(&dir).unwrap().load().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
 
-        // The loaded registry is the store's registry, entry for entry.
-        prop_assert_eq!(&mem, store.registry());
-        // Folding the loaded entries back into a MappingStore reproduces
-        // the store's canonical byte encoding — the resume-identity format.
-        let mut rebuilt = MappingStore::new();
-        for entry in mem.entries() {
-            for source in &entry.sources {
-                rebuilt.insert(&entry.mapping, source.clone());
-            }
-        }
-        prop_assert_eq!(rebuilt.encode(), store.encode());
+        // The loaded registry is the store, entry for entry, and encodes
+        // to the same `store.txt` bytes — the resume-identity format.
+        prop_assert_eq!(&mem, &store);
+        prop_assert_eq!(mem.encode(), store.encode());
     }
 }
